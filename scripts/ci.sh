@@ -115,12 +115,14 @@ echo "==== tier 2: ThreadSanitizer smoke ===="
 
 # ASan over the zero-copy data path: pooled buffer recycling, payload views
 # holding buffer references across transport/server boundaries, in-place
-# kernel forwarding — exactly the code where a lifetime bug would be a
-# use-after-free rather than a test failure. The full-suite sweep stays in
-# the nightly `scripts/sanitize.sh both`.
+# kernel forwarding, the checksum's stripe loop and carried tail, and .npy
+# loads read straight into pooled buffers — exactly the code where a
+# lifetime bug or overread would be a use-after-free or heap overflow rather
+# than a test failure. The full-suite sweep stays in the nightly
+# `scripts/sanitize.sh both`.
 echo "==== tier 3: AddressSanitizer smoke ===="
 "$repo/scripts/sanitize.sh" address \
-  'BufferPool|BufferForward|TensorBuffer|Transport|ServerTest|Checkpoint|WireTensor|Oom|Fused|Coalesce'
+  'BufferPool|BufferForward|TensorBuffer|Transport|ServerTest|Checkpoint|WireTensor|WireChecksum|Npy|Oom|Fused|Coalesce'
 
 # OOM-injection smoke: the multi-client distributed workload under an
 # injected allocator fault schedule, on the instrumented build. The binary

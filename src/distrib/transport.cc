@@ -1,12 +1,29 @@
 #include "distrib/transport.h"
 
 #include <chrono>
-#include <cstring>
 #include <thread>
 
 #include "core/rng.h"
 
 namespace tfhpc::distrib {
+namespace {
+
+// The envelope without its payload: what MPI and RDMA exchange over the
+// side channel. Copies the header fields only, never the payload bytes.
+wire::RpcEnvelope HeaderOf(const wire::RpcEnvelope& e) {
+  wire::RpcEnvelope h;
+  h.method = e.method;
+  h.request_id = e.request_id;
+  h.status_code = e.status_code;
+  h.status_msg = e.status_msg;
+  h.client_id = e.client_id;
+  h.checksum = e.checksum;
+  h.deadline_ns = e.deadline_ns;
+  h.transient = e.transient;
+  return h;
+}
+
+}  // namespace
 
 const char* WireProtocolName(WireProtocol p) {
   switch (p) {
@@ -237,8 +254,7 @@ Result<wire::RpcEnvelope> InProcessRouter::Call(
       const std::string frame = request.Serialize();
       st.bytes_serialized.fetch_add(static_cast<int64_t>(frame.size()),
                                     std::memory_order_relaxed);
-      std::string wire_buf(frame.size(), '\0');  // the TCP copy
-      std::memcpy(wire_buf.data(), frame.data(), frame.size());
+      const std::string wire_buf(frame);  // the TCP copy
       st.bytes_copied.fetch_add(static_cast<int64_t>(wire_buf.size()),
                                 std::memory_order_relaxed);
       TFHPC_ASSIGN_OR_RETURN(delivered, wire::RpcEnvelope::Parse(wire_buf));
@@ -246,9 +262,7 @@ Result<wire::RpcEnvelope> InProcessRouter::Call(
     }
     case WireProtocol::kMpi: {
       // Header serialized; payload staged (send buffer) then wired.
-      wire::RpcEnvelope header = request;
-      header.payload.clear();
-      const std::string header_frame = header.Serialize();
+      const std::string header_frame = HeaderOf(request).Serialize();
       st.bytes_serialized.fetch_add(
           static_cast<int64_t>(header_frame.size()), std::memory_order_relaxed);
       TFHPC_ASSIGN_OR_RETURN(delivered, wire::RpcEnvelope::Parse(header_frame));
@@ -263,11 +277,8 @@ Result<wire::RpcEnvelope> InProcessRouter::Call(
       } else {
         // Unpinned inline bytes: classic host send-buffer stage, then the
         // wire copy into the receiver's buffer (2 copies).
-        const std::string& inline_bytes = request.payload.head();
-        std::string staging(inline_bytes.size(), '\0');
-        std::memcpy(staging.data(), inline_bytes.data(), inline_bytes.size());
-        std::string recv_buf(staging.size(), '\0');
-        std::memcpy(recv_buf.data(), staging.data(), staging.size());
+        const std::string staging(request.payload.head());
+        std::string recv_buf(staging);
         st.bytes_copied.fetch_add(2 * static_cast<int64_t>(staging.size()),
                                   std::memory_order_relaxed);
         delivered.payload = std::move(recv_buf);
@@ -278,9 +289,7 @@ Result<wire::RpcEnvelope> InProcessRouter::Call(
       // Only the tiny header is exchanged via the side channel; the payload
       // either crosses by buffer reference (view: true zero-copy) or lands
       // in the remote buffer in one registered-buffer write.
-      wire::RpcEnvelope header = request;
-      header.payload.clear();
-      const std::string header_frame = header.Serialize();
+      const std::string header_frame = HeaderOf(request).Serialize();
       st.bytes_serialized.fetch_add(
           static_cast<int64_t>(header_frame.size()), std::memory_order_relaxed);
       TFHPC_ASSIGN_OR_RETURN(delivered, wire::RpcEnvelope::Parse(header_frame));
@@ -294,10 +303,7 @@ Result<wire::RpcEnvelope> InProcessRouter::Call(
             std::memory_order_relaxed);
         delivered.payload = request.payload;
       } else {
-        const std::string& inline_bytes = request.payload.head();
-        std::string remote_buf(inline_bytes.size(), '\0');
-        std::memcpy(remote_buf.data(), inline_bytes.data(),
-                    inline_bytes.size());
+        std::string remote_buf(request.payload.head());
         st.bytes_copied.fetch_add(static_cast<int64_t>(remote_buf.size()),
                                   std::memory_order_relaxed);
         delivered.payload = std::move(remote_buf);

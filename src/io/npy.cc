@@ -1,5 +1,6 @@
 #include "io/npy.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -79,8 +80,70 @@ Result<std::vector<int64_t>> ParseShapeTuple(const std::string& tup) {
     } catch (...) {
       return InvalidArgument("npy: bad shape tuple " + tup);
     }
+    if (dims.back() < 0) return InvalidArgument("npy: negative dim in " + tup);
   }
   return dims;
+}
+
+// Where the header dict sits, from the fixed preamble (magic, version,
+// header length) in the first `n` bytes of a `total`-byte file.
+struct Preamble {
+  size_t header_off = 0;
+  size_t header_len = 0;
+  size_t data_off() const { return header_off + header_len; }
+};
+
+Result<Preamble> ParsePreamble(const char* bytes, size_t n, size_t total) {
+  if (n < 10 || std::memcmp(bytes, kMagic, 6) != 0) {
+    return InvalidArgument("npy: bad magic");
+  }
+  const uint8_t major = static_cast<uint8_t>(bytes[6]);
+  Preamble p;
+  if (major == 1) {
+    p.header_len = static_cast<uint8_t>(bytes[8]) |
+                   (static_cast<size_t>(static_cast<uint8_t>(bytes[9])) << 8);
+    p.header_off = 10;
+  } else if (major == 2) {
+    if (n < 12) return InvalidArgument("npy: truncated v2 header");
+    for (int i = 0; i < 4; ++i) {
+      p.header_len |= static_cast<size_t>(static_cast<uint8_t>(bytes[8 + i]))
+                      << (8 * i);
+    }
+    p.header_off = 12;
+  } else {
+    return InvalidArgument("npy: unsupported version " + std::to_string(major));
+  }
+  if (total < p.data_off()) return InvalidArgument("npy: truncated header");
+  return p;
+}
+
+// An uninitialized tensor of the dtype and shape the header dict declares,
+// once `data_bytes` (what the file holds past the header) is known to cover
+// it. The caller fills every byte.
+Result<Tensor> TensorForHeader(const std::string& header, size_t data_bytes) {
+  TFHPC_ASSIGN_OR_RETURN(std::string descr, DictValue(header, "descr"));
+  TFHPC_ASSIGN_OR_RETURN(std::string forder, DictValue(header, "fortran_order"));
+  TFHPC_ASSIGN_OR_RETURN(std::string shape_tok, DictValue(header, "shape"));
+  if (forder != "False") {
+    return Unimplemented("npy: fortran_order arrays not supported");
+  }
+  const DType dtype = DTypeForDescr(descr);
+  if (dtype == DType::kInvalid) {
+    return Unimplemented("npy: unsupported descr " + descr);
+  }
+  TFHPC_ASSIGN_OR_RETURN(std::vector<int64_t> dims, ParseShapeTuple(shape_tok));
+  // Check the size before allocating; the division keeps absurd dims from
+  // overflowing.
+  size_t need = DTypeSize(dtype);
+  for (int64_t d : dims) {
+    const size_t ud = static_cast<size_t>(d);
+    if (ud != 0 && need > data_bytes / ud) {
+      return InvalidArgument("npy: truncated data section");
+    }
+    need *= ud;
+  }
+  if (need > data_bytes) return InvalidArgument("npy: truncated data section");
+  return Tensor::Uninitialized(dtype, Shape(std::move(dims)));
 }
 
 }  // namespace
@@ -123,51 +186,13 @@ std::string EncodeNpy(const Tensor& t) {
 }
 
 Result<Tensor> DecodeNpy(const std::string& bytes) {
-  if (bytes.size() < 10 || std::memcmp(bytes.data(), kMagic, 6) != 0) {
-    return InvalidArgument("npy: bad magic");
-  }
-  const uint8_t major = static_cast<uint8_t>(bytes[6]);
-  size_t header_len = 0;
-  size_t header_off = 0;
-  if (major == 1) {
-    header_len = static_cast<uint8_t>(bytes[8]) |
-                 (static_cast<size_t>(static_cast<uint8_t>(bytes[9])) << 8);
-    header_off = 10;
-  } else if (major == 2) {
-    if (bytes.size() < 12) return InvalidArgument("npy: truncated v2 header");
-    header_len = 0;
-    for (int i = 0; i < 4; ++i) {
-      header_len |= static_cast<size_t>(static_cast<uint8_t>(bytes[8 + i]))
-                    << (8 * i);
-    }
-    header_off = 12;
-  } else {
-    return InvalidArgument("npy: unsupported version " + std::to_string(major));
-  }
-  if (bytes.size() < header_off + header_len) {
-    return InvalidArgument("npy: truncated header");
-  }
-  const std::string header = bytes.substr(header_off, header_len);
-
-  TFHPC_ASSIGN_OR_RETURN(std::string descr, DictValue(header, "descr"));
-  TFHPC_ASSIGN_OR_RETURN(std::string forder, DictValue(header, "fortran_order"));
-  TFHPC_ASSIGN_OR_RETURN(std::string shape_tok, DictValue(header, "shape"));
-  if (forder != "False") {
-    return Unimplemented("npy: fortran_order arrays not supported");
-  }
-  const DType dtype = DTypeForDescr(descr);
-  if (dtype == DType::kInvalid) {
-    return Unimplemented("npy: unsupported descr " + descr);
-  }
-  TFHPC_ASSIGN_OR_RETURN(std::vector<int64_t> dims, ParseShapeTuple(shape_tok));
-
-  Tensor t(dtype, Shape(std::move(dims)));
-  const size_t data_off = header_off + header_len;
-  if (bytes.size() - data_off < static_cast<size_t>(t.bytes())) {
-    return InvalidArgument("npy: truncated data section");
-  }
+  TFHPC_ASSIGN_OR_RETURN(
+      Preamble p, ParsePreamble(bytes.data(), bytes.size(), bytes.size()));
+  TFHPC_ASSIGN_OR_RETURN(
+      Tensor t, TensorForHeader(bytes.substr(p.header_off, p.header_len),
+                                bytes.size() - p.data_off()));
   if (t.bytes() > 0) {
-    std::memcpy(t.raw_data(), bytes.data() + data_off,
+    std::memcpy(t.raw_data(), bytes.data() + p.data_off(),
                 static_cast<size_t>(t.bytes()));
   }
   return t;
@@ -186,11 +211,28 @@ Status SaveNpy(const std::string& path, const Tensor& t) {
 }
 
 Result<Tensor> LoadNpy(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
+  std::ifstream f(path, std::ios::binary | std::ios::ate);
   if (!f) return NotFound("LoadNpy: cannot open " + path);
-  std::ostringstream ss;
-  ss << f.rdbuf();
-  return DecodeNpy(ss.str());
+  const auto end = f.tellg();
+  if (end < 0) return Unavailable("LoadNpy: cannot size " + path);
+  const size_t total = static_cast<size_t>(end);
+  // Preamble and header dict first, then the data section read once,
+  // straight into the tensor's (uninitialized, pooled) buffer.
+  char pre[12];
+  f.seekg(0);
+  f.read(pre, static_cast<std::streamsize>(std::min(sizeof(pre), total)));
+  TFHPC_ASSIGN_OR_RETURN(
+      Preamble p, ParsePreamble(pre, static_cast<size_t>(f.gcount()), total));
+  std::string header(p.header_len, '\0');
+  f.seekg(static_cast<std::streamoff>(p.header_off));
+  f.read(header.data(), static_cast<std::streamsize>(header.size()));
+  TFHPC_ASSIGN_OR_RETURN(Tensor t,
+                         TensorForHeader(header, total - p.data_off()));
+  if (t.bytes() > 0) {
+    f.read(static_cast<char*>(t.raw_data()), t.bytes());
+  }
+  if (!f) return Unavailable("LoadNpy: read failed for " + path);
+  return t;
 }
 
 }  // namespace tfhpc::io

@@ -3,6 +3,19 @@
 #include <complex>
 
 namespace tfhpc {
+namespace {
+
+// out = a + b elementwise; all three share one dtype and shape.
+template <typename T>
+void AddInto(const Tensor& a, const Tensor& b, Tensor* out) {
+  const T* x = a.data<T>().data();
+  const T* y = b.data<T>().data();
+  T* z = out->mutable_data<T>();
+  const int64_t n = out->num_elements();
+  for (int64_t i = 0; i < n; ++i) z[i] = x[i] + y[i];
+}
+
+}  // namespace
 
 Status FIFOQueue::Enqueue(Tensor t, CancellationToken* token) {
   CancelCallback wake(token, [this] {
@@ -171,34 +184,18 @@ Result<Tensor> Variable::Accumulate(const Tensor& delta) {
     // Simulation mode: the value is unchanged metadata.
     return value_;
   }
-  // In-place add into a private clone (readers hold shallow snapshots).
-  Tensor next = value_.Clone();
-  const int64_t n = next.num_elements();
+  // value + delta in one pass into a fresh buffer charged to the value's
+  // allocator. value_ is never written in place: readers hold shallow
+  // snapshots of it.
+  Tensor next = Tensor::Uninitialized(value_.dtype(), value_.shape(),
+                                      value_.buffer()->stats());
   switch (next.dtype()) {
-    case DType::kF32: {
-      auto* d = next.mutable_data<float>();
-      const auto s = delta.data<float>();
-      for (int64_t i = 0; i < n; ++i) d[i] += s[static_cast<size_t>(i)];
+    case DType::kF32: AddInto<float>(value_, delta, &next); break;
+    case DType::kF64: AddInto<double>(value_, delta, &next); break;
+    case DType::kC128:
+      AddInto<std::complex<double>>(value_, delta, &next);
       break;
-    }
-    case DType::kF64: {
-      auto* d = next.mutable_data<double>();
-      const auto s = delta.data<double>();
-      for (int64_t i = 0; i < n; ++i) d[i] += s[static_cast<size_t>(i)];
-      break;
-    }
-    case DType::kC128: {
-      auto* d = next.mutable_data<std::complex<double>>();
-      const auto s = delta.data<std::complex<double>>();
-      for (int64_t i = 0; i < n; ++i) d[i] += s[static_cast<size_t>(i)];
-      break;
-    }
-    case DType::kI64: {
-      auto* d = next.mutable_data<int64_t>();
-      const auto s = delta.data<int64_t>();
-      for (int64_t i = 0; i < n; ++i) d[i] += s[static_cast<size_t>(i)];
-      break;
-    }
+    case DType::kI64: AddInto<int64_t>(value_, delta, &next); break;
     default:
       return Unimplemented("Accumulate for dtype " +
                            std::string(DTypeName(next.dtype())));

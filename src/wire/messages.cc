@@ -568,7 +568,12 @@ Result<RegisterStepResponse> RegisterStepResponse::Parse(
 // ---- RpcEnvelope --------------------------------------------------------------
 
 std::string RpcEnvelope::Serialize() const {
+  // Reserve the whole frame up front: fields written after a large payload
+  // would otherwise grow the string and copy the payload a second time.
+  // Each of the 9 fields costs at most a 1-byte tag and a 10-byte varint
+  // besides its bytes.
   std::string out;
+  out.reserve(method.size() + payload.size() + status_msg.size() + 9 * 11);
   CodedOutput co(&out);
   co.WriteString(1, method);
   co.WriteUInt64(2, request_id);
@@ -642,15 +647,6 @@ Result<RpcEnvelope> RpcEnvelope::Parse(const std::string& data) {
     }
   }
   return e;
-}
-
-uint64_t PayloadChecksum(const std::string& data) {
-  uint64_t h = 1469598103934665603ull;  // FNV offset basis
-  for (unsigned char c : data) {
-    h ^= c;
-    h *= 1099511628211ull;  // FNV prime
-  }
-  return h;
 }
 
 }  // namespace tfhpc::wire

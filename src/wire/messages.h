@@ -135,8 +135,9 @@ struct RpcEnvelope {
   // call: retried sends reuse the pair so servers can deduplicate
   // non-idempotent ops. client_id == 0 means "no dedup" (legacy callers).
   uint64_t client_id = 0;  // field 6
-  // FNV-1a of payload, set by clients so servers can reject frames corrupted
-  // in flight with a retryable error. 0 means "unchecked".
+  // PayloadChecksum (XXH64, seed 0) of payload, set by clients so servers
+  // can reject frames corrupted in flight with a retryable error. 0 means
+  // "unchecked".
   uint64_t checksum = 0;  // field 7
   // Absolute steady-clock deadline (ns since clock epoch) for this call;
   // 0 = none. Absolute works because the in-process cluster shares one
@@ -154,8 +155,5 @@ struct RpcEnvelope {
   std::string Serialize() const;
   static Result<RpcEnvelope> Parse(const std::string& data);
 };
-
-// FNV-1a 64-bit over `data` — the RpcEnvelope::checksum function.
-uint64_t PayloadChecksum(const std::string& data);
 
 }  // namespace tfhpc::wire

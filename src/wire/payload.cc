@@ -5,6 +5,114 @@
 #include "core/logging.h"
 
 namespace tfhpc::wire {
+namespace {
+
+// Streaming XXH64 (seed 0). Four independent 64-bit lanes consume 32-byte
+// stripes, so the main loop costs memory bandwidth rather than one
+// dependent multiply per byte. Bytes arrive in segments of any length; a
+// partial stripe is carried between Update calls, so the digest depends on
+// the byte sequence only, never on where the segments split it.
+class Xxh64 {
+ public:
+  void Update(const uint8_t* p, size_t n) {
+    total_ += n;
+    if (carried_ + n < kStripe) {
+      if (n > 0) std::memcpy(carry_ + carried_, p, n);
+      carried_ += n;
+      return;
+    }
+    if (carried_ > 0) {
+      const size_t fill = kStripe - carried_;
+      std::memcpy(carry_ + carried_, p, fill);
+      Stripes(carry_, kStripe);
+      p += fill;
+      n -= fill;
+    }
+    const size_t whole = n - n % kStripe;
+    Stripes(p, whole);
+    carried_ = n - whole;
+    if (carried_ > 0) std::memcpy(carry_, p + whole, carried_);
+  }
+
+  uint64_t Digest() const {
+    uint64_t h = kP5;  // seed + P5: the whole input is shorter than a stripe
+    if (total_ >= kStripe) {
+      h = Rotl(v_[0], 1) + Rotl(v_[1], 7) + Rotl(v_[2], 12) + Rotl(v_[3], 18);
+      for (uint64_t v : v_) h = (h ^ Round(0, v)) * kP1 + kP4;
+    }
+    h += total_;
+    const uint8_t* p = carry_;
+    size_t n = carried_;
+    for (; n >= 8; p += 8, n -= 8) {
+      h ^= Round(0, Load64(p));
+      h = Rotl(h, 27) * kP1 + kP4;
+    }
+    if (n >= 4) {
+      uint32_t w = 0;
+      std::memcpy(&w, p, 4);
+      h ^= static_cast<uint64_t>(w) * kP1;
+      h = Rotl(h, 23) * kP2 + kP3;
+      p += 4;
+      n -= 4;
+    }
+    for (; n > 0; ++p, --n) {
+      h ^= *p * kP5;
+      h = Rotl(h, 11) * kP1;
+    }
+    h ^= h >> 33;
+    h *= kP2;
+    h ^= h >> 29;
+    h *= kP3;
+    h ^= h >> 32;
+    return h;
+  }
+
+ private:
+  static constexpr size_t kStripe = 32;
+  static constexpr uint64_t kP1 = 0x9E3779B185EBCA87ull;
+  static constexpr uint64_t kP2 = 0xC2B2AE3D27D4EB4Full;
+  static constexpr uint64_t kP3 = 0x165667B19E3779F9ull;
+  static constexpr uint64_t kP4 = 0x85EBCA77C2B2AE63ull;
+  static constexpr uint64_t kP5 = 0x27D4EB2F165667C5ull;
+
+  static uint64_t Rotl(uint64_t x, int r) {
+    return (x << r) | (x >> (64 - r));
+  }
+  // Unaligned little-endian load; memcpy, never a cast pointer (payload
+  // heads and tensor views start at any byte). Little-endian hosts only,
+  // like wire/coded.cc.
+  static uint64_t Load64(const uint8_t* p) {
+    uint64_t v = 0;
+    std::memcpy(&v, p, 8);
+    return v;
+  }
+  static uint64_t Round(uint64_t acc, uint64_t input) {
+    return Rotl(acc + input * kP2, 31) * kP1;
+  }
+  // Consumes `n` bytes, a whole number of stripes. The lanes live in locals
+  // so the compiler keeps them in registers: `p` is a byte pointer and
+  // might otherwise alias the members.
+  void Stripes(const uint8_t* p, size_t n) {
+    uint64_t v0 = v_[0], v1 = v_[1], v2 = v_[2], v3 = v_[3];
+    for (const uint8_t* end = p + n; p < end; p += kStripe) {
+      v0 = Round(v0, Load64(p));
+      v1 = Round(v1, Load64(p + 8));
+      v2 = Round(v2, Load64(p + 16));
+      v3 = Round(v3, Load64(p + 24));
+    }
+    v_[0] = v0;
+    v_[1] = v1;
+    v_[2] = v2;
+    v_[3] = v3;
+  }
+
+  uint64_t v_[4] = {kP1 + kP2, kP2, 0, 0 - kP1};  // seed 0
+  uint64_t total_ = 0;
+  uint8_t carry_[kStripe] = {};
+  size_t carried_ = 0;
+};
+
+}  // namespace
 
 PayloadRef PayloadRef::View(std::string head, std::shared_ptr<Buffer> buffer,
                             size_t offset, size_t len) {
@@ -53,16 +161,16 @@ bool PayloadRef::operator==(const PayloadRef& o) const {
 }
 
 uint64_t PayloadChecksum(const PayloadRef& p) {
-  uint64_t h = 1469598103934665603ull;  // FNV offset basis
-  auto mix = [&h](const uint8_t* d, size_t n) {
-    for (size_t i = 0; i < n; ++i) {
-      h ^= d[i];
-      h *= 1099511628211ull;  // FNV prime
-    }
-  };
-  mix(reinterpret_cast<const uint8_t*>(p.head().data()), p.head().size());
-  if (p.is_view()) mix(p.view_data(), p.view_size());
-  return h;
+  Xxh64 h;
+  h.Update(reinterpret_cast<const uint8_t*>(p.head().data()), p.head().size());
+  if (p.is_view()) h.Update(p.view_data(), p.view_size());
+  return h.Digest();
+}
+
+uint64_t PayloadChecksum(const std::string& data) {
+  Xxh64 h;
+  h.Update(reinterpret_cast<const uint8_t*>(data.data()), data.size());
+  return h.Digest();
 }
 
 }  // namespace tfhpc::wire

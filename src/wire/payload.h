@@ -88,8 +88,10 @@ class PayloadRef {
   size_t len_ = 0;
 };
 
-// FNV-1a 64-bit over the payload's byte sequence; equals
-// PayloadChecksum(Flatten()) without materializing the copy.
+// XXH64 (seed 0) of the payload's byte sequence: the RpcEnvelope checksum.
+// One streaming pass over the head and then the view, so a view hashes
+// exactly like its Flatten() without materializing the copy.
 uint64_t PayloadChecksum(const PayloadRef& p);
+uint64_t PayloadChecksum(const std::string& data);
 
 }  // namespace tfhpc::wire

@@ -234,6 +234,29 @@ TEST_F(ServerTest, RemoteVariableAssignAddIsTheStreamPush) {
   EXPECT_DOUBLE_EQ(r->data<double>()[2], 6.0);
 }
 
+// The server's VarAssignAdd builds the sum in a fresh buffer: a snapshot of
+// the variable taken before the push keeps its bits, whichever protocol
+// delivered the delta (over RDMA the old value even shares the client's
+// buffer).
+TEST_F(ServerTest, VarAssignAddLeavesHeldSnapshotUnchanged) {
+  for (WireProtocol p :
+       {WireProtocol::kGrpc, WireProtocol::kMpi, WireProtocol::kRdma}) {
+    auto client = Client("t01n01:8888", p);
+    const std::string var = std::string("held_") + WireProtocolName(p);
+    const Tensor v = Tensor::FromVector(std::vector<double>{1.5, -2.25, 3});
+    ASSERT_TRUE(client.VarAssign(var, v).ok());
+    const Tensor held =
+        ps_->resources().LookupOrCreateVariable(var)->Read().value();
+    const Tensor held_bits = held.Clone();
+    ASSERT_TRUE(client.VarAssignAdd(var, v).ok()) << WireProtocolName(p);
+    EXPECT_TRUE(held.BitwiseEquals(held_bits)) << WireProtocolName(p);
+    EXPECT_TRUE(v.BitwiseEquals(held_bits)) << WireProtocolName(p);
+    auto r = client.VarRead(var);
+    ASSERT_TRUE(r.ok());
+    EXPECT_DOUBLE_EQ(r->data<double>()[1], -4.5);
+  }
+}
+
 TEST_F(ServerTest, RemoteVariableAssignOverwrites) {
   auto client = Client("t01n01:8888");
   ASSERT_TRUE(client.VarAssign("x", Tensor::Scalar(1.0)).ok());

@@ -224,6 +224,29 @@ TEST_F(FaultToleranceTest, CorruptedPayloadIsRejectedNotApplied) {
   EXPECT_EQ(ps.VarRead("x").status().code(), Code::kFailedPrecondition);
 }
 
+// The same contract for a tensor-sized view payload: the corruptor flips the
+// middle byte, which now lands mid-stripe in the tensor body rather than in
+// the header, on the protocols that stage the body as bytes.
+TEST_F(FaultToleranceTest, CorruptedViewPayloadIsRejectedNotApplied) {
+  Tensor big(DType::kF32, Shape{1 << 18});  // 1 MiB of content
+  FillUniform(big, 13);
+  for (WireProtocol p : {WireProtocol::kMpi, WireProtocol::kGrpc}) {
+    ChaosConfig chaos;
+    chaos.seed = 5;
+    chaos.corrupt_rate = 1.0;
+    router_.EnableChaos(chaos);
+    const int64_t rejects = ps_->checksum_rejects();
+    RemoteTask ps(&router_, "ft-ps:1", p);
+    const std::string var = std::string("big_") + WireProtocolName(p);
+    EXPECT_EQ(ps.VarAssign(var, big).code(), Code::kUnavailable)
+        << WireProtocolName(p);
+    EXPECT_GT(ps_->checksum_rejects(), rejects) << WireProtocolName(p);
+    router_.DisableChaos();
+    EXPECT_EQ(ps.VarRead(var).status().code(), Code::kFailedPrecondition)
+        << WireProtocolName(p);
+  }
+}
+
 // ---- exactly-once under retry + duplication -------------------------------------
 
 TEST_F(FaultToleranceTest, LostResponseRetryDoesNotDoubleApply) {

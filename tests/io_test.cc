@@ -3,6 +3,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <numeric>
 #include <set>
 #include <thread>
@@ -113,6 +114,55 @@ TEST(NpyTest, RejectsTruncatedData) {
   std::string enc = EncodeNpy(t);
   enc.resize(enc.size() - 4);
   EXPECT_FALSE(DecodeNpy(enc).ok());
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// LoadNpy reads the data section straight into a pooled buffer: a file cut
+// short anywhere must come back as an error, never a crash or a partial
+// tensor.
+TEST(NpyTest, LoadRejectsTruncatedDataSection) {
+  TempDir dir;
+  Tensor t(DType::kF64, Shape{64});
+  FillUniform(t, 4);
+  const std::string enc = EncodeNpy(t);
+  const std::string path = dir.path() + "/short.npy";
+  for (size_t cut : {size_t{1}, size_t{4}, static_cast<size_t>(t.bytes())}) {
+    WriteBytes(path, enc.substr(0, enc.size() - cut));
+    auto r = LoadNpy(path);
+    ASSERT_FALSE(r.ok()) << "cut " << cut;
+    EXPECT_NE(r.status().message().find("truncated data section"),
+              std::string::npos)
+        << r.status().ToString();
+  }
+  WriteBytes(path, enc);
+  auto r = LoadNpy(path);
+  ASSERT_TRUE(r.ok());
+  EXPECT_TRUE(r->BitwiseEquals(t));
+}
+
+TEST(NpyTest, LoadRejectsTruncatedHeader) {
+  TempDir dir;
+  const std::string enc = EncodeNpy(Tensor(DType::kF32, Shape{3, 3}));
+  const size_t data_off = enc.size() - 9 * sizeof(float);
+  const std::string path = dir.path() + "/cut.npy";
+  // Inside the preamble (magic, version, length) and inside the dict.
+  for (size_t len = 0; len < data_off; ++len) {
+    WriteBytes(path, enc.substr(0, len));
+    EXPECT_EQ(LoadNpy(path).status().code(), Code::kInvalidArgument)
+        << "len " << len;
+  }
+}
+
+TEST(NpyTest, RejectsNegativeDim) {
+  std::string enc = EncodeNpy(Tensor(DType::kF32, Shape{3}));
+  const size_t pos = enc.find("(3,)");
+  ASSERT_NE(pos, std::string::npos);
+  enc.replace(pos, 4, "(-3)");
+  EXPECT_EQ(DecodeNpy(enc).status().code(), Code::kInvalidArgument);
 }
 
 TEST(NpyTest, RejectsMetaTensor) {

@@ -2,7 +2,10 @@
 // fetches, pruning, control deps, errors), variables, queues, sessions.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <complex>
 #include <thread>
+#include <type_traits>
 
 #include "core/rng.h"
 #include "graph/ops.h"
@@ -354,6 +357,62 @@ TEST(ResourceMgrTest, QueueCapacityConflictDetected) {
   EXPECT_TRUE(rm.LookupOrCreateQueue("q", 0).ok());  // 0 = don't care
   EXPECT_EQ(rm.LookupOrCreateQueue("q", 8).status().code(),
             Code::kInvalidArgument);
+}
+
+// ---- Variable::Accumulate contract ------------------------------------------------------
+
+// Deterministic, non-trivial element values (fractions that round in f32).
+template <typename T>
+T TestValue(int64_t i, int salt) {
+  const double x = std::sin(static_cast<double>(i * 7 + salt)) * 1e3;
+  if constexpr (std::is_same_v<T, std::complex<double>>) {
+    return {x, std::cos(static_cast<double>(i + salt)) * 1e-3};
+  } else if constexpr (std::is_integral_v<T>) {
+    return static_cast<T>(x * 1e12);
+  } else {
+    return static_cast<T>(x);
+  }
+}
+
+// One pass of value + delta must give the very bits of the old
+// clone-then-add, cost the variable's allocator the one allocation the
+// clone did, and never write the buffer a reader's snapshot shares.
+template <typename T>
+void ExpectAccumulateIsCloneThenAdd() {
+  constexpr int64_t kN = 1031;  // odd: no vector-width luck
+  AllocatorStats stats;
+  Tensor init(kDTypeOf<T>, Shape{kN}, &stats);
+  Tensor delta(kDTypeOf<T>, Shape{kN});
+  Tensor ref(kDTypeOf<T>, Shape{kN});  // unattributed reference
+  for (int64_t i = 0; i < kN; ++i) {
+    init.mutable_data<T>()[i] = ref.mutable_data<T>()[i] = TestValue<T>(i, 1);
+    delta.mutable_data<T>()[i] = TestValue<T>(i, 2);
+  }
+  Variable v("acc");
+  v.Write(init);
+  const Tensor snapshot = v.Read().value();
+  const Tensor snapshot_bits = ref.Clone();
+  const int64_t allocs = stats.allocs();
+  for (int round = 0; round < 3; ++round) {
+    ASSERT_TRUE(v.Accumulate(delta).ok());
+    Tensor next = ref.Clone();
+    for (int64_t i = 0; i < kN; ++i) {
+      next.mutable_data<T>()[i] += delta.data<T>()[static_cast<size_t>(i)];
+    }
+    ref = next;
+  }
+  EXPECT_EQ(stats.allocs() - allocs, 3);
+  const Tensor now = v.Read().value();
+  EXPECT_EQ(now.buffer()->stats(), &stats);
+  EXPECT_TRUE(now.BitwiseEquals(ref)) << DTypeName(kDTypeOf<T>);
+  EXPECT_TRUE(snapshot.BitwiseEquals(snapshot_bits)) << DTypeName(kDTypeOf<T>);
+}
+
+TEST(VariableAccumulateTest, OnePassSumIsBitIdenticalToCloneThenAdd) {
+  ExpectAccumulateIsCloneThenAdd<float>();
+  ExpectAccumulateIsCloneThenAdd<double>();
+  ExpectAccumulateIsCloneThenAdd<std::complex<double>>();
+  ExpectAccumulateIsCloneThenAdd<int64_t>();
 }
 
 TEST_F(ExecutorTest, QueueRoundTripThroughGraphOps) {

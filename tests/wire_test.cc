@@ -1,5 +1,8 @@
-// Unit tests for the protobuf wire format subset and message schemas.
+// Unit tests for the protobuf wire format subset, message schemas and the
+// payload checksum.
 #include <gtest/gtest.h>
+
+#include <cstring>
 
 #include "wire/coded.h"
 #include "wire/messages.h"
@@ -387,6 +390,65 @@ TEST(RegisterStepTest, ResponseNegativeVersionSurvivesZigZag) {
   auto r = RegisterStepResponse::Parse(resp.Serialize());
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->graph_version, -7);
+}
+
+// ---- Payload checksum (XXH64) --------------------------------------------------
+
+// Deterministic filler bytes: the high byte of a 64-bit LCG.
+std::string TestBytes(size_t n, uint64_t seed) {
+  std::string s(n, '\0');
+  for (char& c : s) {
+    seed = seed * 6364136223846793005ull + 1442695040888963407ull;
+    c = static_cast<char>(seed >> 56);
+  }
+  return s;
+}
+
+TEST(WireChecksumTest, MatchesPublishedXxh64Vectors) {
+  EXPECT_EQ(PayloadChecksum(std::string()), 0xef46db3751d8e999ull);
+  EXPECT_EQ(PayloadChecksum(std::string("a")), 0xd24ec4f1a98c6e5bull);
+  EXPECT_EQ(PayloadChecksum(std::string("abc")), 0x44bc2cf5ad770999ull);
+  // 39 bytes: one full stripe through the four lanes, then a 7-byte tail.
+  EXPECT_EQ(PayloadChecksum(
+                std::string("Nobody inspects the spammish repetition")),
+            0xfbcea83c8a378bf1ull);
+}
+
+// The gRPC server checks flattened bytes against the sum the client took
+// over the view, so a view must hash exactly like its Flatten(). Head and
+// body lengths straddle the 32-byte stripe and the partial stripe carried
+// from head to body; a nonzero view offset starts the body unaligned.
+TEST(WireChecksumTest, ViewHashesLikeItsFlattenedBytes) {
+  const size_t kBodies[] = {0, 1, 31, 32, 33, 63, 64, 65, 1000};
+  const size_t kOffsets[] = {0, 5};
+  for (size_t body : kBodies) {
+    for (size_t offset : kOffsets) {
+      const std::string bytes = TestBytes(offset + body + 1, body);
+      auto buffer = Buffer::Allocate(bytes.size());
+      std::memcpy(buffer->data(), bytes.data(), bytes.size());
+      for (size_t head = 0; head <= 40; ++head) {
+        const PayloadRef view =
+            PayloadRef::View(TestBytes(head, head + 100), buffer, offset, body);
+        const std::string flat = view.Flatten();
+        ASSERT_EQ(flat.size(), head + body);
+        EXPECT_EQ(PayloadChecksum(view), PayloadChecksum(flat))
+            << "head " << head << " body " << body << " offset " << offset;
+        EXPECT_EQ(PayloadChecksum(PayloadRef(flat)), PayloadChecksum(flat));
+      }
+    }
+  }
+}
+
+TEST(WireChecksumTest, EverySingleBitFlipChangesTheSum) {
+  std::string bytes = TestBytes(4096 + 37, 7);
+  const uint64_t clean = PayloadChecksum(bytes);
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      bytes[i] = static_cast<char>(bytes[i] ^ (1 << bit));
+      ASSERT_NE(PayloadChecksum(bytes), clean) << "byte " << i << " bit " << bit;
+      bytes[i] = static_cast<char>(bytes[i] ^ (1 << bit));
+    }
+  }
 }
 
 }  // namespace
