@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <optional>
 
 #include "analysis/verifier.h"
 #include "graph/ops.h"
@@ -49,9 +50,14 @@ Result<std::shared_ptr<const Executable>> Session::Prepare(
   std::sort(sig.feeds.begin(), sig.feeds.end());
   const std::string key = sig.Key();
 
-  {
-    MutexLock lk(cache_mu_);
-    if (max_cached_ > 0) {
+  // Set only when this caller compiles for waiters (cache hits skip the
+  // promise's allocation).
+  std::optional<std::promise<CompileResult>> compiled;
+  for (;;) {
+    std::shared_future<CompileResult> pending;
+    {
+      MutexLock lk(cache_mu_);
+      if (max_cached_ == 0) break;
       auto it = cache_.find(key);
       if (it != cache_.end() &&
           !it->second.executable->stale(*graph_)) {
@@ -59,12 +65,41 @@ Result<std::shared_ptr<const Executable>> Session::Prepare(
         cache_hits_.fetch_add(1, std::memory_order_relaxed);
         return it->second.executable;
       }
+      // Single flight: when this signature is already compiling, wait for
+      // that compile instead of running GraphCheck, the optimizer, the
+      // planner and Compile a second time.
+      auto in_flight = in_flight_.find(key);
+      if (in_flight == in_flight_.end()) {
+        compiled.emplace();
+        in_flight_.emplace(key, compiled->get_future().share());
+        break;
+      }
+      pending = in_flight->second;
     }
+    CompileResult shared = pending.get();
+    // That compile may have snapshotted the graph before a mutation this
+    // caller made: go round, and compile afresh if no one else is.
+    if (shared.ok() && (*shared)->stale(*graph_)) continue;
+    if (shared.ok()) cache_hits_.fetch_add(1, std::memory_order_relaxed);
+    return shared;
   }
 
   // Miss (or stale): compile outside the cache lock — compiles can be slow
   // and concurrent Runs with other signatures must not serialize on them.
   cache_misses_.fetch_add(1, std::memory_order_relaxed);
+  CompileResult result = CompileSignature(sig);
+  {
+    MutexLock lk(cache_mu_);
+    if (compiled) in_flight_.erase(key);
+    if (result.ok() && max_cached_ > 0) result = Insert(key, *result);
+  }
+  if (compiled) compiled->set_value(result);
+  return result;
+}
+
+Session::CompileResult Session::CompileSignature(const RunSignature& sig) {
+  const std::vector<std::string>& fetches = sig.fetches;
+  const std::vector<std::string>& targets = sig.targets;
 
   // GraphCheck: static verification + shape inference for this signature's
   // closure. Strict mode fails the compile on ERROR findings; warn mode
@@ -204,13 +239,15 @@ Result<std::shared_ptr<const Executable>> Session::Prepare(
                                                      : &static_shapes,
                                plan.get()));
   }
+  return exe;
+}
 
-  MutexLock lk(cache_mu_);
-  if (max_cached_ == 0) return exe;
+std::shared_ptr<const Executable> Session::Insert(
+    const std::string& key, std::shared_ptr<const Executable> exe) {
   auto it = cache_.find(key);
   if (it != cache_.end()) {
-    // Either a stale entry we are replacing, or a concurrent compile won
-    // the race; the freshest graph version wins.
+    // Either a stale entry we are replacing, or a compile that ran while
+    // caching was off; the freshest graph version wins.
     if (it->second.executable->graph_version() >= exe->graph_version()) {
       return it->second.executable;
     }

@@ -7,7 +7,8 @@
 // flat dataflow loop, with no pruning, placement or kernel lookup. Cached
 // entries are tied to Graph::version(): any graph mutation invalidates
 // them and the next Run recompiles. Thread-safe: concurrent Runs share the
-// cache under a lock and execute with stack-local state.
+// cache under a lock and execute with stack-local state, and concurrent
+// misses on one signature share a single compile.
 //
 // LocalRuntime bundles graph + devices + resources for single-process use —
 // the examples and tests build on it; distributed execution wraps sessions
@@ -15,8 +16,11 @@
 #pragma once
 
 #include <atomic>
+#include <future>
 #include <list>
+#include <map>
 #include <memory>
+#include <string>
 
 #include "core/thread_annotations.h"
 #include "graph/ops.h"
@@ -113,6 +117,8 @@ class Session {
   Result<std::string> DevicePlacement(const std::string& node_name);
 
   // ---- executable-cache observability ------------------------------------
+  // A miss is a compile; a caller that waited on another caller's compile of
+  // the same signature counts as a hit.
   int64_t executable_cache_hits() const { return cache_hits_.load(); }
   int64_t executable_cache_misses() const { return cache_misses_.load(); }
   size_t executable_cache_size() const;
@@ -124,6 +130,16 @@ class Session {
   int64_t nodes_executed() const { return nodes_executed_.load(); }
 
  private:
+  using CompileResult = Result<std::shared_ptr<const Executable>>;
+
+  // GraphCheck, optimizer, memory planner and Compile for one signature.
+  CompileResult CompileSignature(const RunSignature& sig);
+  // Caches a fresh compile under `key` and returns the entry to use: `exe`,
+  // or a concurrently cached plan of a newer graph version.
+  std::shared_ptr<const Executable> Insert(
+      const std::string& key, std::shared_ptr<const Executable> exe)
+      TFHPC_REQUIRES(cache_mu_);
+
   Graph* graph_;
   Executor executor_;
   SessionOptions options_;
@@ -139,6 +155,10 @@ class Session {
     std::list<std::string>::iterator lru_pos;
   };
   std::map<std::string, CacheEntry> cache_ TFHPC_GUARDED_BY(cache_mu_);
+  // Compiles running now, by signature key: concurrent callers of a cold
+  // signature wait on the one compile instead of each compiling.
+  std::map<std::string, std::shared_future<CompileResult>> in_flight_
+      TFHPC_GUARDED_BY(cache_mu_);
   std::atomic<int64_t> cache_hits_{0};
   std::atomic<int64_t> cache_misses_{0};
   std::atomic<int64_t> nodes_executed_{0};
