@@ -1,12 +1,14 @@
 // GEMM ablation: the pre-PR auto-vectorized i-k-j blocked loop ("loop")
-// versus the packed register-tiled kernel ("packed", the production
-// blas::Gemm) across sizes × dtypes × thread counts, wall-clock Gflops/s.
-// Also gates numerics: both variants are checked against a naive triple-loop
+// versus the packed register-tiled kernel on every micro-kernel tier the
+// host supports (baseline, avx2, avx512 — one column each; blas::Gemm runs
+// the widest) across sizes × dtypes × thread counts, wall-clock Gflops/s.
+// Also gates numerics: every tier is checked against a naive triple-loop
 // reference; tolerance 1e-5*k (f32) / 1e-12*k (f64) absolute on inputs in
-// [-1, 1]. Writes BENCH_gemm.json.
+// [-1, 1]. Writes BENCH_gemm.json, including the detected tier.
 //
 //   ./ablation_gemm            # full matrix up to 1024^3, asserts the
-//                              # packed f32 kernel >= 2x the loop at 1024
+//                              # detected tier's f32 kernel >= 2x the loop
+//                              # at 1024
 //   ./ablation_gemm --smoke    # CI leg: small sizes, numerics gate only
 #include <algorithm>
 #include <chrono>
@@ -20,10 +22,13 @@
 #include "bench_util.h"
 #include "core/threadpool.h"
 #include "kernels/gemm.h"
+#include "kernels/gemm_tiers.h"
 
 namespace {
 
 using tfhpc::ThreadPool;
+using tfhpc::blas::GemmTier;
+using tfhpc::blas::GemmTierName;
 
 // The pre-PR kernel, verbatim: cache-blocked i-k-j with the j-loop left to
 // the auto-vectorizer, parallelized over kMc row panels.
@@ -85,30 +90,38 @@ double BestGflops(F run, int64_t n, int reps) {
          static_cast<double>(n) / best_s / 1e9;
 }
 
-// max|packed - naive triple loop| at size n; both dtypes share this shape.
+// max|tier - naive triple loop| at size n for each host tier, in
+// SupportedGemmTiers() order; both dtypes share this shape.
 template <typename T>
-double MaxDiffVsNaive(int64_t n) {
+std::vector<double> MaxDiffVsNaive(int64_t n) {
   std::vector<T> a(static_cast<size_t>(n * n)), b(static_cast<size_t>(n * n)),
       c(static_cast<size_t>(n * n));
   FillOperands(a, b);
-  tfhpc::blas::Gemm(a.data(), b.data(), c.data(), n, n, n);
-  double md = 0;
+  // The naive reference accumulates in f64 either way; compare in the
+  // working dtype so the tolerance reflects kernel-vs-kernel ordering, not
+  // f32 accumulation error.
+  std::vector<T> ref(static_cast<size_t>(n * n));
   for (int64_t i = 0; i < n; ++i) {
     for (int64_t j = 0; j < n; ++j) {
-      double ref = 0;
+      double acc = 0;
       for (int64_t p = 0; p < n; ++p) {
-        ref += static_cast<double>(a[static_cast<size_t>(i * n + p)]) *
+        acc += static_cast<double>(a[static_cast<size_t>(i * n + p)]) *
                static_cast<double>(b[static_cast<size_t>(p * n + j)]);
       }
-      // The naive reference accumulates in f64 either way; compare in the
-      // working dtype so the tolerance reflects kernel-vs-kernel ordering,
-      // not f32 accumulation error.
-      md = std::max(md, std::abs(static_cast<double>(
-                            c[static_cast<size_t>(i * n + j)]) -
-                        static_cast<double>(static_cast<T>(ref))));
+      ref[static_cast<size_t>(i * n + j)] = static_cast<T>(acc);
     }
   }
-  return md;
+  std::vector<double> diffs;
+  for (const GemmTier tier : tfhpc::blas::SupportedGemmTiers()) {
+    tfhpc::blas::GemmOnTier(tier, a.data(), b.data(), c.data(), n, n, n);
+    double md = 0;
+    for (size_t e = 0; e < c.size(); ++e) {
+      md = std::max(md, std::abs(static_cast<double>(c[e]) -
+                                 static_cast<double>(ref[e])));
+    }
+    diffs.push_back(md);
+  }
+  return diffs;
 }
 
 template <typename T>
@@ -124,24 +137,28 @@ void RunDtype(const char* dtype, const std::vector<int64_t>& sizes,
       const double g_loop = BestGflops(
           [&] { loop::Gemm(a.data(), b.data(), c.data(), n, n, n, &pool); }, n,
           reps);
-      const double g_packed = BestGflops(
-          [&] {
-            tfhpc::blas::Gemm(a.data(), b.data(), c.data(), n, n, n,
-                              /*beta_zero=*/true, &pool);
-          },
-          n, reps);
-      const double speedup = g_packed / g_loop;
-      std::printf("%-4s n=%5lld threads=%d  loop %7.2f GF  packed %7.2f GF  "
-                  "speedup %5.2fx\n",
-                  dtype, static_cast<long long>(n), nt, g_loop, g_packed,
-                  speedup);
+      std::printf("%-4s n=%5lld threads=%d  loop %7.2f GF", dtype,
+                  static_cast<long long>(n), nt, g_loop);
       json.Record()
           .Str("dtype", dtype)
           .Num("n", static_cast<double>(n))
           .Num("threads", nt)
-          .Num("gflops_loop", g_loop)
-          .Num("gflops_packed", g_packed)
-          .Num("speedup", speedup);
+          .Num("gflops_loop", g_loop);
+      double g_tier = 0;
+      for (const GemmTier tier : tfhpc::blas::SupportedGemmTiers()) {
+        g_tier = BestGflops(
+            [&] {
+              tfhpc::blas::GemmOnTier(tier, a.data(), b.data(), c.data(), n,
+                                      n, n, /*beta_zero=*/true, &pool);
+            },
+            n, reps);
+        std::printf("  %s %7.2f GF", GemmTierName(tier), g_tier);
+        json.Num(std::string("gflops_") + GemmTierName(tier), g_tier);
+      }
+      // The last tier run is the detected one, which blas::Gemm uses.
+      const double speedup = g_tier / g_loop;
+      std::printf("  speedup %5.2fx\n", speedup);
+      json.Num("speedup", speedup);
       if (speedup_1024_f32 != nullptr && n == 1024 &&
           std::string(dtype) == "f32") {
         *speedup_1024_f32 = std::max(*speedup_1024_f32, speedup);
@@ -169,19 +186,30 @@ int main(int argc, char** argv) {
   json.Meta("tol_f32_per_k", 1e-5);
   json.Meta("tol_f64_per_k", 1e-12);
 
-  // Numerics gate first: packed kernel vs naive triple loop.
+  const char* detected = GemmTierName(tfhpc::blas::DetectedGemmTier());
+  json.Meta("detected_tier", detected);
+  std::printf("detected tier: %s (blas::Gemm runs it)\n", detected);
+
+  // Numerics gate first: every host tier vs the naive triple loop.
   const int64_t nv = smoke ? 192 : 384;  // off-tile sizes exercise tails
-  const double diff32 = MaxDiffVsNaive<float>(nv);
-  const double diff64 = MaxDiffVsNaive<double>(nv);
+  const std::vector<double> diff32 = MaxDiffVsNaive<float>(nv);
+  const std::vector<double> diff64 = MaxDiffVsNaive<double>(nv);
   const double tol32 = 1e-5 * static_cast<double>(nv);
   const double tol64 = 1e-12 * static_cast<double>(nv);
-  std::printf("numerics vs naive (n=%lld): f32 max|diff| %.3g (tol %.3g), "
-              "f64 %.3g (tol %.3g)\n",
-              static_cast<long long>(nv), diff32, tol32, diff64, tol64);
   json.Meta("naive_check_n", static_cast<double>(nv));
-  json.Meta("max_diff_f32", diff32);
-  json.Meta("max_diff_f64", diff64);
-  if (diff32 > tol32 || diff64 > tol64) {
+  bool diverged = false;
+  const std::vector<GemmTier> tiers = tfhpc::blas::SupportedGemmTiers();
+  for (size_t t = 0; t < tiers.size(); ++t) {
+    const std::string name = GemmTierName(tiers[t]);
+    std::printf("numerics vs naive (n=%lld, %s): f32 max|diff| %.3g (tol "
+                "%.3g), f64 %.3g (tol %.3g)\n",
+                static_cast<long long>(nv), name.c_str(), diff32[t], tol32,
+                diff64[t], tol64);
+    json.Meta("max_diff_f32_" + name, diff32[t]);
+    json.Meta("max_diff_f64_" + name, diff64[t]);
+    diverged = diverged || diff32[t] > tol32 || diff64[t] > tol64;
+  }
+  if (diverged) {
     std::fprintf(stderr, "FAIL: packed GEMM diverges from naive reference\n");
     return 2;
   }
@@ -195,8 +223,8 @@ int main(int argc, char** argv) {
 
   if (!smoke) {
     json.Meta("speedup_1024_f32", speedup_1024_f32);
-    std::printf("f32 1024^3 packed vs loop: %.2fx (acceptance floor 2x)\n",
-                speedup_1024_f32);
+    std::printf("f32 1024^3 %s vs loop: %.2fx (acceptance floor 2x)\n",
+                detected, speedup_1024_f32);
     if (speedup_1024_f32 < 2.0) {
       std::fprintf(stderr, "FAIL: packed f32 GEMM below 2x at 1024^3\n");
       json.WriteFile("BENCH_gemm.json");

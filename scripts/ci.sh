@@ -98,6 +98,24 @@ echo "==== memplan ablation smoke ===="
 (cd "$repo/build" && ./bench/ablation_memplan --smoke)
 echo "==== memplan ablation: bit-identical, bounds sound, allocs reduced ===="
 
+# ctest -R filters of the sanitizer legs below. Every '|' term must match at
+# least one test of the tier-1 build (which registers the same tests as the
+# sanitizer builds), so a renamed suite cannot drop out of a leg silently.
+tsan_filter='ExecutableCache|DistSession|DistStep|FaultTolerance|StepRecovery|JobRecovery|Liveness|Rendezvous|BufferPool|Serving|CancellationToken|Oom|Optimizer|Fused|Coalesce'
+asan_filter='BufferPool|BufferForward|TensorBuffer|Transport|ServerTest|Checkpoint|TensorProto|WireChecksum|Npy|Oom|Fused|Coalesce|Gemm'
+ubsan_filter='Gemm|Gemv|Fft|Reduction|ArrayKernel|KernelSession|Tensor|Shape|DType|Status|GraphCheck|ShapeInference|Presize|Wire|Optimizer|Fused'
+echo "==== sanitizer filters: every term matches a test ===="
+for filter in "$tsan_filter" "$asan_filter" "$ubsan_filter"; do
+  IFS='|' read -ra terms <<< "$filter"
+  for term in "${terms[@]}"; do
+    count="$(cd "$repo/build" && ctest -N -R "$term" | sed -n 's/^Total Tests: //p')"
+    if [[ "${count:-0}" == 0 ]]; then
+      echo "sanitizer filter term '$term' matches no test" >&2
+      exit 1
+    fi
+  done
+done
+
 if [[ "$fast" == 1 ]]; then
   echo "==== ci: tier 1 OK (sanitizer smoke skipped) ===="
   exit 0
@@ -110,19 +128,18 @@ fi
 # (admission control, token cancellation, concurrent Session::Run over one
 # shared cached Executable).
 echo "==== tier 2: ThreadSanitizer smoke ===="
-"$repo/scripts/sanitize.sh" thread \
-  'ExecutableCache|DistSession|DistStep|FaultTolerance|StepRecovery|JobRecovery|Liveness|Rendezvous|BufferPool|Serving|CancellationToken|Oom|Optimizer|Fused|Coalesce'
+"$repo/scripts/sanitize.sh" thread "$tsan_filter"
 
 # ASan over the zero-copy data path: pooled buffer recycling, payload views
 # holding buffer references across transport/server boundaries, in-place
-# kernel forwarding, the checksum's stripe loop and carried tail, and .npy
-# loads read straight into pooled buffers — exactly the code where a
-# lifetime bug or overread would be a use-after-free or heap overflow rather
-# than a test failure. The full-suite sweep stays in the nightly
-# `scripts/sanitize.sh both`.
+# kernel forwarding, the checksum's stripe loop and carried tail, .npy
+# loads read straight into pooled buffers, and the packed GEMM's pack and
+# micro-kernel loops on every tier the host supports — exactly the code
+# where a lifetime bug or overread would be a use-after-free or heap
+# overflow rather than a test failure. The full-suite sweep stays in the
+# nightly `scripts/sanitize.sh both`.
 echo "==== tier 3: AddressSanitizer smoke ===="
-"$repo/scripts/sanitize.sh" address \
-  'BufferPool|BufferForward|TensorBuffer|Transport|ServerTest|Checkpoint|WireTensor|WireChecksum|Npy|Oom|Fused|Coalesce'
+"$repo/scripts/sanitize.sh" address "$asan_filter"
 
 # OOM-injection smoke: the multi-client distributed workload under an
 # injected allocator fault schedule, on the instrumented build. The binary
@@ -134,12 +151,12 @@ echo "==== tier 3b: OOM-injection smoke (ablation_oom under ASan) ===="
   ASAN_OPTIONS="detect_leaks=1 abort_on_error=1" ./bench/ablation_oom)
 echo "==== OOM smoke: contract held, zero leaks ===="
 
-# UBSan over the numeric kernels and the static-analysis layer: shape
-# arithmetic, wire varint decoding and kernel index math are where a signed
-# overflow or misaligned access would hide.
+# UBSan over the numeric kernels (GEMM, GEMV, FFT, reductions, array
+# kernels), the core tensor/shape/status types and the static-analysis
+# layer: shape arithmetic, wire varint decoding and kernel index math are
+# where a signed overflow or misaligned access would hide.
 echo "==== tier 4: UndefinedBehaviorSanitizer smoke ===="
-"$repo/scripts/sanitize.sh" undefined \
-  'Kernels|ArrayKernels|GraphCheck|ShapeInference|Presize|Wire|CoreTest|Optimizer|Fused'
+"$repo/scripts/sanitize.sh" undefined "$ubsan_filter"
 
 # clang-tidy (checks pinned in .clang-tidy, including bugprone-* and
 # concurrency-*) over the analysis, optimizer and runtime subsystems and

@@ -6,9 +6,13 @@
 // Gemm packs A and B panels into contiguous pool-allocated scratch (MC×KC and
 // KC×NC), drives an explicitly vectorized MR×NR micro-kernel over the packed
 // panels, and parallelizes over MC row blocks with a flop-aware grain (small
-// matrices never shard). Results are deterministic across thread counts and
-// schedules: each C row block is owned by exactly one task per depth panel,
-// and depth panels accumulate in a fixed serial order.
+// matrices never shard). The micro-kernel comes in three tiers — 16-byte
+// vectors (SSE2 baseline), AVX2+FMA and AVX-512F — each with its own tile and
+// cache blocks; the widest tier the CPU supports is read from CPUID once per
+// process. Results are deterministic across thread counts and schedules: each
+// C row block is owned by exactly one task per depth panel, and depth panels
+// accumulate in a fixed serial order. Across tiers (and so across hosts)
+// results differ at the ulp level, because the wide tiers use FMA.
 #pragma once
 
 #include <cstdint>

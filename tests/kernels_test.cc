@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <random>
 
 #include "core/rng.h"
+#include "core/threadpool.h"
 #include "graph/ops.h"
 #include "kernels/fft_impl.h"
 #include "kernels/gemm.h"
+#include "kernels/gemm_tiers.h"
 #include "kernels/kernel.h"
 #include "kernels/reduction.h"
 #include "runtime/session.h"
@@ -39,11 +42,14 @@ TEST_P(GemmShapeTest, MatchesNaiveF64) {
   std::vector<double> a(static_cast<size_t>(m * k)), b(static_cast<size_t>(k * n));
   for (auto& v : a) v = dist(rng);
   for (auto& v : b) v = dist(rng);
-  std::vector<double> c(static_cast<size_t>(m * n));
-  blas::Gemm(a.data(), b.data(), c.data(), m, n, k);
   auto ref = NaiveGemm(a, b, m, n, k);
-  for (size_t i = 0; i < c.size(); ++i) {
-    EXPECT_NEAR(c[i], ref[i], 1e-9 * k) << "at " << i;
+  for (const auto tier : blas::SupportedGemmTiers()) {
+    SCOPED_TRACE(blas::GemmTierName(tier));
+    std::vector<double> c(static_cast<size_t>(m * n));
+    blas::GemmOnTier(tier, a.data(), b.data(), c.data(), m, n, k);
+    for (size_t i = 0; i < c.size(); ++i) {
+      EXPECT_NEAR(c[i], ref[i], 1e-9 * k) << "at " << i;
+    }
   }
 }
 
@@ -57,12 +63,53 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(GemmTest, F32Accumulate) {
   // beta_zero=false must accumulate into existing C.
   std::vector<float> a{1, 2, 3, 4}, b{1, 0, 0, 1};  // 2x2 identity-ish
-  std::vector<float> c{10, 10, 10, 10};
-  blas::Gemm(a.data(), b.data(), c.data(), 2, 2, 2, /*beta_zero=*/false);
-  EXPECT_FLOAT_EQ(c[0], 11);
-  EXPECT_FLOAT_EQ(c[1], 12);
-  EXPECT_FLOAT_EQ(c[2], 13);
-  EXPECT_FLOAT_EQ(c[3], 14);
+  for (const auto tier : blas::SupportedGemmTiers()) {
+    SCOPED_TRACE(blas::GemmTierName(tier));
+    std::vector<float> c{10, 10, 10, 10};
+    blas::GemmOnTier(tier, a.data(), b.data(), c.data(), 2, 2, 2,
+                     /*beta_zero=*/false);
+    EXPECT_FLOAT_EQ(c[0], 11);
+    EXPECT_FLOAT_EQ(c[1], 12);
+    EXPECT_FLOAT_EQ(c[2], 13);
+    EXPECT_FLOAT_EQ(c[3], 14);
+  }
+}
+
+// gemm.h promises results independent of thread count: each C row block has
+// one owner per depth panel, and panels accumulate in serial order. Both
+// shapes have at least 3 row blocks and 2 depth panels on every tier.
+template <typename T>
+void ExpectBitIdenticalAcrossThreadCounts(blas::GemmTier tier, int64_t m,
+                                          int64_t n, int64_t k) {
+  std::mt19937_64 rng(static_cast<uint64_t>(m * 7919 + n * 31 + k));
+  std::uniform_real_distribution<T> dist(-1, 1);
+  std::vector<T> a(static_cast<size_t>(m * k)), b(static_cast<size_t>(k * n));
+  for (auto& v : a) v = dist(rng);
+  for (auto& v : b) v = dist(rng);
+  std::vector<T> first;
+  for (const int threads : {1, 2, 4}) {
+    ThreadPool pool(threads, "gemmtest");
+    std::vector<T> c(static_cast<size_t>(m * n));
+    blas::GemmOnTier(tier, a.data(), b.data(), c.data(), m, n, k,
+                     /*beta_zero=*/true, &pool);
+    if (first.empty()) {
+      first = std::move(c);
+      continue;
+    }
+    EXPECT_EQ(std::memcmp(first.data(), c.data(), first.size() * sizeof(T)),
+              0)
+        << m << "x" << n << "x" << k << " with " << threads << " threads";
+  }
+}
+
+TEST(GemmTest, BitIdenticalAcrossThreadCounts) {
+  for (const auto tier : blas::SupportedGemmTiers()) {
+    SCOPED_TRACE(blas::GemmTierName(tier));
+    ExpectBitIdenticalAcrossThreadCounts<float>(tier, 300, 257, 600);
+    ExpectBitIdenticalAcrossThreadCounts<double>(tier, 300, 257, 600);
+    ExpectBitIdenticalAcrossThreadCounts<float>(tier, 512, 512, 1024);
+    ExpectBitIdenticalAcrossThreadCounts<double>(tier, 512, 512, 1024);
+  }
 }
 
 TEST(GemvTest, MatchesManual) {
@@ -99,11 +146,14 @@ TEST_P(GemmTailShapeTest, MatchesNaiveF64) {
       b(static_cast<size_t>(k * n));
   for (auto& v : a) v = dist(rng);
   for (auto& v : b) v = dist(rng);
-  std::vector<double> c(static_cast<size_t>(m * n));
-  blas::Gemm(a.data(), b.data(), c.data(), m, n, k);
   const auto ref = NaiveGemm(a, b, m, n, k);
-  for (size_t i = 0; i < c.size(); ++i) {
-    EXPECT_NEAR(c[i], ref[i], 1e-12 * k) << "at " << i;
+  for (const auto tier : blas::SupportedGemmTiers()) {
+    SCOPED_TRACE(blas::GemmTierName(tier));
+    std::vector<double> c(static_cast<size_t>(m * n));
+    blas::GemmOnTier(tier, a.data(), b.data(), c.data(), m, n, k);
+    for (size_t i = 0; i < c.size(); ++i) {
+      EXPECT_NEAR(c[i], ref[i], 1e-12 * k) << "at " << i;
+    }
   }
 }
 
@@ -115,11 +165,14 @@ TEST_P(GemmTailShapeTest, MatchesNaiveF32) {
       b(static_cast<size_t>(k * n));
   for (auto& v : a) v = dist(rng);
   for (auto& v : b) v = dist(rng);
-  std::vector<float> c(static_cast<size_t>(m * n));
-  blas::Gemm(a.data(), b.data(), c.data(), m, n, k);
   const auto ref = NaiveGemm(a, b, m, n, k);
-  for (size_t i = 0; i < c.size(); ++i) {
-    EXPECT_NEAR(c[i], ref[i], 1e-5f * static_cast<float>(k)) << "at " << i;
+  for (const auto tier : blas::SupportedGemmTiers()) {
+    SCOPED_TRACE(blas::GemmTierName(tier));
+    std::vector<float> c(static_cast<size_t>(m * n));
+    blas::GemmOnTier(tier, a.data(), b.data(), c.data(), m, n, k);
+    for (size_t i = 0; i < c.size(); ++i) {
+      EXPECT_NEAR(c[i], ref[i], 1e-5f * static_cast<float>(k)) << "at " << i;
+    }
   }
 }
 
@@ -131,15 +184,19 @@ TEST_P(GemmTailShapeTest, AccumulatesWhenBetaNonzeroF32) {
       b(static_cast<size_t>(k * n));
   for (auto& v : a) v = dist(rng);
   for (auto& v : b) v = dist(rng);
-  std::vector<float> c(static_cast<size_t>(m * n));
-  for (size_t i = 0; i < c.size(); ++i) c[i] = static_cast<float>(i % 7) - 3;
   auto ref = NaiveGemm(a, b, m, n, k);
   for (size_t i = 0; i < ref.size(); ++i) {
     ref[i] += static_cast<float>(i % 7) - 3;
   }
-  blas::Gemm(a.data(), b.data(), c.data(), m, n, k, /*beta_zero=*/false);
-  for (size_t i = 0; i < c.size(); ++i) {
-    EXPECT_NEAR(c[i], ref[i], 1e-5f * static_cast<float>(k)) << "at " << i;
+  for (const auto tier : blas::SupportedGemmTiers()) {
+    SCOPED_TRACE(blas::GemmTierName(tier));
+    std::vector<float> c(static_cast<size_t>(m * n));
+    for (size_t i = 0; i < c.size(); ++i) c[i] = static_cast<float>(i % 7) - 3;
+    blas::GemmOnTier(tier, a.data(), b.data(), c.data(), m, n, k,
+                     /*beta_zero=*/false);
+    for (size_t i = 0; i < c.size(); ++i) {
+      EXPECT_NEAR(c[i], ref[i], 1e-5f * static_cast<float>(k)) << "at " << i;
+    }
   }
 }
 
@@ -151,13 +208,17 @@ TEST_P(GemmTailShapeTest, AccumulatesWhenBetaNonzeroF64) {
       b(static_cast<size_t>(k * n));
   for (auto& v : a) v = dist(rng);
   for (auto& v : b) v = dist(rng);
-  std::vector<double> c(static_cast<size_t>(m * n));
-  for (size_t i = 0; i < c.size(); ++i) c[i] = static_cast<double>(i % 5);
   auto ref = NaiveGemm(a, b, m, n, k);
   for (size_t i = 0; i < ref.size(); ++i) ref[i] += static_cast<double>(i % 5);
-  blas::Gemm(a.data(), b.data(), c.data(), m, n, k, /*beta_zero=*/false);
-  for (size_t i = 0; i < c.size(); ++i) {
-    EXPECT_NEAR(c[i], ref[i], 1e-12 * k) << "at " << i;
+  for (const auto tier : blas::SupportedGemmTiers()) {
+    SCOPED_TRACE(blas::GemmTierName(tier));
+    std::vector<double> c(static_cast<size_t>(m * n));
+    for (size_t i = 0; i < c.size(); ++i) c[i] = static_cast<double>(i % 5);
+    blas::GemmOnTier(tier, a.data(), b.data(), c.data(), m, n, k,
+                     /*beta_zero=*/false);
+    for (size_t i = 0; i < c.size(); ++i) {
+      EXPECT_NEAR(c[i], ref[i], 1e-12 * k) << "at " << i;
+    }
   }
 }
 
@@ -166,6 +227,25 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 3, 7, 63, 65, 129),
                        ::testing::Values(1, 3, 7, 63, 65, 129),
                        ::testing::Values(1, 3, 7, 63, 65, 129)));
+
+// Shapes one below, at and one above each tier's tile edges (gemm.cc
+// Blocking): m straddles mr (6, 8, 12) and mc (24, 32, 66), n straddles nr
+// (4, 8, 16, 32), and k straddles kc (256, 512). Pack scratch is pooled and
+// rounded up to a size class, so a sanitizer cannot see a pack overread;
+// these shapes are the guard.
+INSTANTIATE_TEST_SUITE_P(
+    TileEdges, GemmTailShapeTest,
+    ::testing::Values(
+        std::make_tuple(11, 15, 255), std::make_tuple(12, 16, 256),
+        std::make_tuple(13, 17, 257), std::make_tuple(5, 31, 511),
+        std::make_tuple(6, 32, 512), std::make_tuple(7, 33, 513),
+        std::make_tuple(7, 3, 257), std::make_tuple(8, 4, 256),
+        std::make_tuple(9, 5, 255), std::make_tuple(23, 7, 513),
+        std::make_tuple(24, 8, 512), std::make_tuple(25, 9, 511),
+        std::make_tuple(31, 33, 257), std::make_tuple(32, 31, 255),
+        std::make_tuple(33, 16, 513), std::make_tuple(65, 17, 511),
+        std::make_tuple(66, 15, 256), std::make_tuple(67, 32, 257),
+        std::make_tuple(121, 33, 1025)));
 
 class GemvTailShapeTest
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
