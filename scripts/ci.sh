@@ -82,13 +82,13 @@ echo "==== optimizer ablation smoke ===="
 (cd "$repo/build" && ./bench/ablation_optimizer --smoke)
 echo "==== optimizer ablation: levels agree, reduction floor met ===="
 
-# GEMM ablation smoke: packed register-tiled kernel vs the pre-PR i-k-j
-# loop at small sizes. The binary gates the packed kernel's numerics
+# GEMM ablation smoke: every micro-kernel tier the host supports vs the
+# pre-PR i-k-j loop at small sizes. The binary gates each tier's numerics
 # against a naive triple-loop reference (exit 2 on divergence) and writes
 # BENCH_gemm.json; the 2x speedup floor is asserted only in full mode.
 echo "==== gemm ablation smoke ===="
 (cd "$repo/build" && ./bench/ablation_gemm --smoke)
-echo "==== gemm ablation: packed kernel matches naive reference ===="
+echo "==== gemm ablation: every tier matches naive reference ===="
 
 # Memory-planner ablation smoke: app step graphs with planning on/off at
 # reduced sizes. The binary asserts bit-identical fetches across modes,
