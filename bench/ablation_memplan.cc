@@ -1,7 +1,8 @@
 // Ablation: what does the static memory planner (src/analysis/liveness.h +
 // memory_plan.h) buy at runtime? The app step graphs — an elementwise
 // chain, the CG worker step, and the FFT worker step — run with memory
-// planning on (arena execution) and off (per-output pool allocation):
+// planning on (arena execution) and off (GraphCheckMode::kOff, which skips
+// analysis and so planning: per-output pool allocation):
 //
 //   - allocator traffic: allocations/step and pooled bytes/step from the
 //     device allocator stats (the planner's whole point is collapsing N
@@ -142,7 +143,7 @@ Cell Measure(const std::function<Workload(const Scope&)>& build, bool plan,
   const Workload w = build(s);
 
   SessionOptions opts;
-  opts.memory_planning = plan;
+  if (!plan) opts.graph_check = GraphCheckMode::kOff;
   auto session = rt.NewSession(opts);
   if (!w.setup_targets.empty()) {
     auto r = session->Run(w.setup_feeds, {}, w.setup_targets);

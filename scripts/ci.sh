@@ -102,8 +102,8 @@ echo "==== memplan ablation: bit-identical, bounds sound, allocs reduced ===="
 # least one test of the tier-1 build (which registers the same tests as the
 # sanitizer builds), so a renamed suite cannot drop out of a leg silently.
 tsan_filter='ExecutableCache|DistSession|DistStep|FaultTolerance|StepRecovery|JobRecovery|Liveness|Rendezvous|BufferPool|Serving|CancellationToken|Oom|Optimizer|Fused|Coalesce'
-asan_filter='BufferPool|BufferForward|TensorBuffer|Transport|ServerTest|Checkpoint|TensorProto|WireChecksum|Npy|Oom|Fused|Coalesce|Gemm'
-ubsan_filter='Gemm|Gemv|Fft|Reduction|ArrayKernel|KernelSession|Tensor|Shape|DType|Status|GraphCheck|ShapeInference|Presize|Wire|Optimizer|Fused'
+asan_filter='BufferPool|OutputBuffer|TensorBuffer|MemplanRuntime|Transport|ServerTest|Checkpoint|TensorProto|WireChecksum|Npy|Oom|Fused|Coalesce|Gemm'
+ubsan_filter='Gemm|Gemv|Fft|Reduction|ArrayKernel|KernelSession|Tensor|Shape|DType|Status|GraphCheck|ShapeInference|PlannedOutput|Wire|Optimizer|Fused'
 echo "==== sanitizer filters: every term matches a test ===="
 for filter in "$tsan_filter" "$asan_filter" "$ubsan_filter"; do
   IFS='|' read -ra terms <<< "$filter"
@@ -131,8 +131,9 @@ echo "==== tier 2: ThreadSanitizer smoke ===="
 "$repo/scripts/sanitize.sh" thread "$tsan_filter"
 
 # ASan over the zero-copy data path: pooled buffer recycling, payload views
-# holding buffer references across transport/server boundaries, in-place
-# kernel forwarding, the checksum's stripe loop and carried tail, .npy
+# holding buffer references across transport/server boundaries, step-arena
+# views handed to planned outputs and the lifetime of fetched outputs past
+# the runtime, the checksum's stripe loop and carried tail, .npy
 # loads read straight into pooled buffers, and the packed GEMM's pack and
 # micro-kernel loops on every tier the host supports — exactly the code
 # where a lifetime bug or overread would be a use-after-free or heap

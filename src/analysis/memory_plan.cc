@@ -5,6 +5,7 @@
 #include <set>
 #include <sstream>
 
+#include "core/buffer.h"
 #include "graph/op_def.h"
 
 namespace tfhpc::analysis {
@@ -20,8 +21,9 @@ bool InPlaceSafe(const std::string& op) {
   return kSafe.count(op) > 0;
 }
 
-int64_t AlignUp(int64_t v, int64_t alignment) {
-  return (v + alignment - 1) / alignment * alignment;
+int64_t AlignUp(int64_t v) {
+  constexpr int64_t kAlign = Buffer::kAlignment;
+  return (v + kAlign - 1) / kAlign * kAlign;
 }
 
 struct Placement {
@@ -40,11 +42,7 @@ const PlannedTensor* MemoryPlan::Find(const std::string& node,
   return nullptr;
 }
 
-Result<MemoryPlan> MemoryPlan::Plan(const LivenessAnalysis& live,
-                                    const MemoryPlanOptions& options) {
-  if (options.alignment <= 0) {
-    return InvalidArgument("memory plan: alignment must be positive");
-  }
+MemoryPlan MemoryPlan::Plan(const LivenessAnalysis& live) {
   MemoryPlan plan;
 
   // ---- classify tensors -----------------------------------------------------
@@ -61,10 +59,10 @@ Result<MemoryPlan> MemoryPlan::Plan(const LivenessAnalysis& live,
     if (eligible) {
       const OpDef* producer = OpRegistry::Global().Lookup(live.node_op(t.def));
       eligible = producer != nullptr && producer->overwrites_outputs &&
-                 // Multi-output producers stay on the pool: the executor's
-                 // presize matching is by dtype/shape, so same-shaped
-                 // sibling slots could swap views and inherit the wrong
-                 // planned lifetime. No registered op hits this today.
+                 // Multi-output producers stay on the pool: the executor
+                 // hands a kernel one arena view, matched by dtype/shape, so
+                 // same-shaped sibling slots could swap views and inherit
+                 // the wrong planned lifetime. No registered op hits this.
                  producer->num_outputs == 1;
     }
     // Escape fence: every kernel that can see this buffer must be one that
@@ -102,14 +100,14 @@ Result<MemoryPlan> MemoryPlan::Plan(const LivenessAnalysis& live,
   std::vector<Placement> placements;
   for (int id : arena_candidates) {
     const TensorLife& t = tensors[static_cast<size_t>(id)];
-    const int64_t extent = AlignUp(t.bytes, options.alignment);
+    const int64_t extent = AlignUp(t.bytes);
 
     // In-place aliasing: a single-data-consumer input of the same
     // dtype/shape, already in the arena, whose only reader is this
     // streaming-safe producer, donates its offset. The overwrite is safe
     // precisely because nobody else can ever look at those bytes again.
     const PlannedTensor* alias = nullptr;
-    if (options.allow_in_place && InPlaceSafe(live.node_op(t.def))) {
+    if (InPlaceSafe(live.node_op(t.def))) {
       for (const Placement& p : placements) {
         const TensorLife& in = tensors[static_cast<size_t>(p.tensor)];
         if (in.data_uses.size() != 1 || in.data_uses[0] != t.def) continue;
@@ -158,6 +156,8 @@ Result<MemoryPlan> MemoryPlan::Plan(const LivenessAnalysis& live,
     PlannedTensor pt;
     pt.node = t.node;
     pt.slot = t.slot;
+    pt.dtype = t.dtype;
+    pt.shape = t.shape;
     pt.offset = offset;
     pt.bytes = t.bytes;
     pt.in_place = alias != nullptr;

@@ -1,6 +1,8 @@
 // Static memory planning over a LivenessAnalysis: a deterministic greedy
 // interval-coloring allocator assigns statically-shaped tensors to byte
-// offsets in one per-step arena, producing
+// offsets in one per-step arena. The plan is the runtime's only decision
+// about where an output lives: a planned output is handed its arena view,
+// every other output is allocated from the pool by its kernel. It produces
 //
 //   * arena_bytes — the arena extent the executor allocates ONCE per step
 //     and carves with zero-cost views (replacing per-op pool traffic);
@@ -10,8 +12,8 @@
 //   * per-node waterlines — the serialized-schedule high-water mark after
 //     each node, for the graphcheck --memory report;
 //   * an alias set — provably-safe in-place reuses (single consumer,
-//     elementwise overwrite, same dtype/shape, last use) resolved at compile
-//     time instead of the runtime buffer_unique() guess.
+//     elementwise overwrite, same dtype/shape, last use), the runtime's only
+//     in-place mechanism.
 //
 // Arena eligibility is deliberately strict. A tensor is planned only when:
 //   - its producer is scheduled and not fed (fed storage is caller-owned);
@@ -35,9 +37,11 @@
 // static_peak_bytes = arena_bytes + sum of statically-known bytes of every
 // non-planned, non-fed scheduled tensor. Non-planned tensors come from the
 // pool and are charged individually; summing them (no reuse assumed) keeps
-// the bound sound in both plan-on and plan-off execution. Dynamic tensors
+// the bound sound however the executor interleaves them. Dynamic tensors
 // (bytes unknown) are counted and reported but cannot be bounded — the plan
-// says so via dynamic_tensors > 0.
+// says so via dynamic_tensors > 0. Placements are aligned to
+// Buffer::kAlignment, so every arena view keeps the SIMD alignment
+// invariant.
 #pragma once
 
 #include <cstdint>
@@ -46,27 +50,23 @@
 
 #include "analysis/diagnostic.h"
 #include "analysis/liveness.h"
-#include "core/status.h"
+#include "core/dtype.h"
+#include "core/shape.h"
 
 namespace tfhpc::analysis {
 
-// One arena placement: output `slot` of node `node` lives at [offset,
-// offset + bytes) in the step arena.
+// One arena placement: output `slot` of node `node`, a `dtype` tensor of
+// `shape`, lives at [offset, offset + bytes) in the step arena.
 struct PlannedTensor {
   std::string node;
   int slot = 0;
+  DType dtype = DType::kInvalid;
+  Shape shape;
   int64_t offset = 0;
   int64_t bytes = 0;
   // Set when this placement aliases a consumed input in place: the planner
   // proved the overwrite safe and gave the output the input's offset.
   bool in_place = false;
-};
-
-struct MemoryPlanOptions {
-  // Arena placements are aligned to this many bytes (Buffer::kAlignment).
-  int64_t alignment = 64;
-  // Emit in-place aliases (same offset for a provably-safe overwrite).
-  bool allow_in_place = true;
 };
 
 class MemoryPlan {
@@ -95,8 +95,7 @@ class MemoryPlan {
   std::string ToString(const LivenessAnalysis& live) const;
 
   // Deterministic: same liveness in, same plan out.
-  static Result<MemoryPlan> Plan(const LivenessAnalysis& live,
-                                 const MemoryPlanOptions& options = {});
+  static MemoryPlan Plan(const LivenessAnalysis& live);
 
  private:
   friend class MemoryPlanner;

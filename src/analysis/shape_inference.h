@@ -2,8 +2,8 @@
 // inference function (the analogue of TensorFlow's shape_fn on OpDef) that
 // maps possibly-unknown input facts to output facts, rejecting provably
 // incompatible operands. The verifier (analysis/verifier.h) drives these in
-// topological order; fully-known results feed the executor's pre-sized
-// output allocation.
+// topological order; fully-known results feed the static memory plan
+// (analysis/memory_plan.h), which places outputs in the step arena.
 //
 // Unknowns are first-class: a dtype of DType::kInvalid means "not known
 // statically", an InferredShape can have unknown rank or unknown extents

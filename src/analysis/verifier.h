@@ -7,7 +7,7 @@
 //     device strings (GC007), control-edge sanity (GC008).
 //  2. Shape & dtype inference (analysis/shape_inference.h) in topological
 //     order, rejecting provable conflicts (GC009/GC010/GC017) and producing
-//     per-node output annotations the executor uses to pre-size buffers.
+//     per-node output annotations the memory planner places tensors by.
 //  3. Dataflow lints: dead nodes (GC011), variables read with no
 //     initializer (GC012), guaranteed queue deadlocks (GC013), queue dtype
 //     protocol violations (GC014), stateful ops bound to resources on other

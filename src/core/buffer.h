@@ -36,11 +36,9 @@ enum class ZeroInit { kYes, kNo };
 // Tracks live bytes for one device; SimGpuDevice installs one of these to
 // enforce the paper's per-GPU memory limits (e.g. 1 GB on a K420). Also
 // counts allocator traffic: total allocations, how many were satisfied from
-// the pool's free lists, how many outputs were forwarded (buffer reuse)
-// without any allocation at all, and how many allocations *failed* (budget
-// breach, injected fault, or real OOM) — failures surface as
-// kResourceExhausted steps, so the counter is the device-level view of
-// memory pressure.
+// the pool's free lists, and how many allocations *failed* (budget breach,
+// injected fault, or real OOM) — failures surface as kResourceExhausted
+// steps, so the counter is the device-level view of memory pressure.
 class AllocatorStats {
  public:
   void Add(int64_t bytes) {
@@ -62,10 +60,6 @@ class AllocatorStats {
       pool_bytes_.fetch_add(bytes, std::memory_order_relaxed);
     }
   }
-  void RecordForward() { forwards_.fetch_add(1, std::memory_order_relaxed); }
-  // An output served from a statically pre-sized buffer (GraphCheck shape
-  // inference told the executor the exact dtype/shape before the kernel ran).
-  void RecordPresized() { presized_.fetch_add(1, std::memory_order_relaxed); }
   // An allocation that failed after the trim-and-retry dance.
   void RecordFailed() { failed_.fetch_add(1, std::memory_order_relaxed); }
 
@@ -83,12 +77,6 @@ class AllocatorStats {
   int64_t pool_bytes() const {
     return pool_bytes_.load(std::memory_order_relaxed);
   }
-  int64_t forwards() const {
-    return forwards_.load(std::memory_order_relaxed);
-  }
-  int64_t presized() const {
-    return presized_.load(std::memory_order_relaxed);
-  }
   int64_t failed() const { return failed_.load(std::memory_order_relaxed); }
 
  private:
@@ -97,8 +85,6 @@ class AllocatorStats {
   std::atomic<int64_t> allocs_{0};
   std::atomic<int64_t> pool_hits_{0};
   std::atomic<int64_t> pool_bytes_{0};
-  std::atomic<int64_t> forwards_{0};
-  std::atomic<int64_t> presized_{0};
   std::atomic<int64_t> failed_{0};
 };
 
@@ -315,10 +301,6 @@ class Buffer {
   // the SIMD kernels' alignment invariant holds through views.
   static std::shared_ptr<Buffer> CreateView(std::shared_ptr<Buffer> base,
                                             size_t offset, size_t size);
-  // True for buffers made by CreateView. Runtime forwarding must refuse
-  // views: handing a planned arena span to an unplanned output would extend
-  // its lifetime past the interval the plan proved safe.
-  bool is_view() const { return parent_ != nullptr; }
 
   ~Buffer();
   Buffer(const Buffer&) = delete;

@@ -88,10 +88,6 @@ class Tensor {
   // every shallow copy of this tensor and with any PayloadRef view of it.
   const std::shared_ptr<Buffer>& buffer() const { return buffer_; }
 
-  // True when this tensor holds the only reference to its buffer — the
-  // safety condition for in-place buffer forwarding.
-  bool buffer_unique() const { return buffer_ != nullptr && buffer_.use_count() == 1; }
-
   // Severs the buffer's device-allocator attribution so the tensor may
   // outlive the device that produced it. In place when this tensor is the
   // buffer's sole owner; otherwise the buffer still aliases device-resident

@@ -341,9 +341,8 @@ DistributedSession::GetOrBuildStepPlan(
     auto live = analysis::LivenessAnalysis::Compute(pdef, aopts,
                                                     ga.annotations);
     if (!live.ok()) continue;
-    auto mp = analysis::MemoryPlan::Plan(*live);
-    if (!mp.ok()) continue;
-    part.static_peak_bytes = mp->static_peak_bytes();
+    part.static_peak_bytes =
+        analysis::MemoryPlan::Plan(*live).static_peak_bytes();
   }
 
   std::lock_guard<std::mutex> lk(step_mu_);

@@ -835,23 +835,18 @@ Result<wire::PayloadRef> Server::Dispatch(const std::string& method,
           exe, PrepareLocked(feed_keys, req.fetches, req.targets));
     }
     // Admission control: bounded in-flight steps with per-client fairness
-    // AND a byte budget fed by the compiled step's static memory footprint.
-    // The memory planner's static peak (an upper bound sound under
-    // concurrency) is preferred; sessions compiled without a plan fall back
-    // to the older sum-of-outputs estimate (a lower bound). Excess load
-    // sheds with kUnavailable + retry-after, a queued step whose deadline
-    // fires while waiting leaves with kDeadlineExceeded, and a step whose
-    // footprint can never fit the budget is refused with permanent
+    // AND a byte budget charged the memory planner's static peak (an upper
+    // bound sound under concurrency; 0 for a step compiled without a plan).
+    // Excess load sheds with kUnavailable + retry-after, a queued step
+    // whose deadline fires while waiting leaves with kDeadlineExceeded, and
+    // a step whose peak can never fit the budget is refused with permanent
     // kResourceExhausted. Admission sits after executable resolution so the
     // bound exists; compiling an unadmitted step is paid once per
     // signature, not per run.
     std::optional<ServingController::Slot> slot;
     if (serving_ != nullptr) {
-      const int64_t admission_bytes = exe->static_peak_bytes() > 0
-                                          ? exe->static_peak_bytes()
-                                          : exe->estimated_bytes();
       slot.emplace(serving_.get(), std::to_string(client_id), token,
-                   admission_bytes);
+                   exe->static_peak_bytes());
       TFHPC_RETURN_IF_ERROR(slot->status());
     }
     TFHPC_ASSIGN_OR_RETURN(std::vector<Tensor> outputs,

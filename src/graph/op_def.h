@@ -22,9 +22,10 @@ struct OpDef {
   // Blocking ops (queue dequeue/enqueue on a full queue) may wait on other
   // steps; the executor gives them dedicated threads.
   bool is_blocking = false;
-  // True when every kernel for the op fully overwrites its outputs and can
-  // therefore accept statically pre-sized (uninitialized) output buffers
-  // from the analysis layer's shape inference.
+  // True when every kernel for the op fully overwrites its outputs, never
+  // retains an input buffer, and takes its output from
+  // AllocateOutput(ZeroInit::kNo) — so the memory planner may hand it an
+  // uninitialized arena view (analysis/memory_plan.h).
   bool overwrites_outputs = false;
 };
 

@@ -21,8 +21,9 @@ class TransposeKernel : public OpKernel {
     }
     const int64_t r = a.shape().dim(0);
     const int64_t c = a.shape().dim(1);
-    // Every destination element is written (never forwarded: the blocked
-    // transpose would read elements it already overwrote in place).
+    // Every destination element is written. Never aliased with the input
+    // (the memory plan keeps Transpose out of place): the blocked transpose
+    // would read elements it already overwrote.
     Tensor out;
     TFHPC_RETURN_IF_ERROR(
         ctx->AllocateOutput(a.dtype(), Shape{c, r}, &out, ZeroInit::kNo));
@@ -167,10 +168,9 @@ class CastKernel : public OpKernel {
   Status Compute(OpKernelContext* ctx) override {
     const Tensor& a = ctx->input(0);
     TFHPC_ASSIGN_OR_RETURN(DType to, ctx->node().AttrType("to"));
-    // Same-dtype casts forward the input buffer outright (the shape/dtype
-    // check inside ForwardOrAllocate only matches when to == a.dtype()).
     Tensor out;
-    TFHPC_RETURN_IF_ERROR(ctx->ForwardOrAllocate({0}, to, a.shape(), &out));
+    TFHPC_RETURN_IF_ERROR(
+        ctx->AllocateOutput(to, a.shape(), &out, ZeroInit::kNo));
     if (!ctx->meta_exec()) {
       const auto pair = std::make_pair(a.dtype(), to);
       if (pair == std::make_pair(DType::kF32, DType::kF64)) {
@@ -188,10 +188,8 @@ class CastKernel : public OpKernel {
       } else if (pair == std::make_pair(DType::kI32, DType::kF32)) {
         CastLoop<int32_t, float>(a, out);
       } else if (a.dtype() == to) {
-        if (out.raw_data() != a.raw_data()) {
-          std::memcpy(out.raw_data(), a.raw_data(),
-                      static_cast<size_t>(a.bytes()));
-        }
+        std::memcpy(out.raw_data(), a.raw_data(),
+                    static_cast<size_t>(a.bytes()));
       } else {
         return Unimplemented(std::string("Cast ") + DTypeName(a.dtype()) +
                              " -> " + DTypeName(to));
@@ -210,7 +208,8 @@ class NegKernel : public OpKernel {
   Status Compute(OpKernelContext* ctx) override {
     const Tensor& a = ctx->input(0);
     Tensor out;
-    TFHPC_RETURN_IF_ERROR(ctx->ForwardOrAllocate({0}, a.dtype(), a.shape(), &out));
+    TFHPC_RETURN_IF_ERROR(
+        ctx->AllocateOutput(a.dtype(), a.shape(), &out, ZeroInit::kNo));
     if (!ctx->meta_exec()) {
       const int64_t n = a.num_elements();
       switch (a.dtype()) {

@@ -305,15 +305,6 @@ class FusedElementwiseKernel : public OpKernel {
       }
     }
 
-    // Last stage reading each data input: its buffer is dead afterwards and
-    // a candidate for reuse as the chain accumulator.
-    std::vector<int> last_use(static_cast<size_t>(ctx->num_inputs()), -1);
-    for (size_t k = 0; k < ns; ++k) {
-      for (int r : stages[k].operands) {
-        if (r >= 0) last_use[static_cast<size_t>(r)] = static_cast<int>(k);
-      }
-    }
-
     Tensor cur;
     for (size_t k = 0; k < ew; ++k) {
       const FusedStage& st = stages[k];
@@ -322,22 +313,7 @@ class FusedElementwiseKernel : public OpKernel {
       };
 
       Tensor dst;
-      if (k == 0) {
-        // Forward a dying chain-shaped operand's buffer, exactly like the
-        // unfused kernels' ForwardOrAllocate (aliasing is safe: every loop
-        // reads element i before writing element i).
-        for (int r : st.operands) {
-          if (r < 0 || last_use[static_cast<size_t>(r)] != 0) continue;
-          const Tensor& in = ctx->input(r);
-          if (in.is_meta() || in.dtype() != out_dtype[0] ||
-              !(in.shape() == out_shape[0]) || !in.buffer_unique()) {
-            continue;
-          }
-          if (ctx->alloc_stats() != nullptr) ctx->alloc_stats()->RecordForward();
-          dst = in;
-          break;
-        }
-      } else if (cur.dtype() == out_dtype[k]) {
+      if (cur.dtype() == out_dtype[k]) {
         dst = cur;  // accumulate in place across the whole chain
       }
       if (!dst.valid()) {

@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/status.h"
@@ -59,7 +60,6 @@ class OpKernelContext {
 
   ResourceMgr* resources() const { return resources_; }
   bool simulate() const { return simulate_; }
-  AllocatorStats* alloc_stats() const { return alloc_stats_; }
 
   // Step cancellation token; null when the step carries none. Blocking
   // kernels (_Recv, queue ops) pass it into their waits so a cancelled or
@@ -67,10 +67,10 @@ class OpKernelContext {
   CancellationToken* cancellation() const { return cancellation_; }
   void set_cancellation(CancellationToken* token) { cancellation_ = token; }
 
-  // Attaches a statically pre-sized output buffer (from GraphCheck shape
-  // inference). AllocateOutput(ZeroInit::kNo) hands it out when the
-  // requested dtype/shape match, skipping the allocation entirely.
-  void AddPresized(Tensor t) { presized_.push_back(std::move(t)); }
+  // Attaches this node's memory-planned output: a view into the step arena
+  // (analysis/memory_plan.h). AllocateOutput(ZeroInit::kNo) hands it out
+  // when the requested dtype/shape match, skipping the allocation entirely.
+  void set_planned_output(Tensor view) { planned_output_ = std::move(view); }
 
   // Per-step memory budget the executor armed for this step; null when the
   // step is unbudgeted. Every output allocation is charged against it.
@@ -81,28 +81,23 @@ class OpKernelContext {
     step_limiter_ = std::move(limiter);
   }
 
-  // Allocates an output tensor on the executing device's allocator into
-  // `*out`; in meta execution produces a meta tensor instead. Kernels that
-  // overwrite every element pass ZeroInit::kNo to skip the memset (the
-  // pooled allocator hands back recycled, dirty blocks). Fails with
-  // kResourceExhausted under memory pressure (budget breach, injected
-  // fault, real OOM) — kernels propagate the status and the executor
-  // unwinds the step.
+  // Allocates an output tensor into `*out`: the planned arena view when one
+  // matches, else a buffer from the executing device's pooled allocator; in
+  // meta execution produces a meta tensor instead. Kernels that overwrite
+  // every element pass ZeroInit::kNo to skip the memset (the pool and the
+  // arena hand back dirty bytes). Fails with kResourceExhausted under
+  // memory pressure (budget breach, injected fault, real OOM) — kernels
+  // propagate the status and the executor unwinds the step.
   Status AllocateOutput(DType dtype, Shape shape, Tensor* out,
                         ZeroInit zero = ZeroInit::kYes) const {
     if (meta_exec()) {
       *out = Tensor::Meta(dtype, std::move(shape));
       return Status::OK();
     }
-    if (zero == ZeroInit::kNo) {
-      for (auto it = presized_.begin(); it != presized_.end(); ++it) {
-        if (it->dtype() == dtype && it->shape() == shape) {
-          *out = std::move(*it);
-          presized_.erase(it);
-          if (alloc_stats_ != nullptr) alloc_stats_->RecordPresized();
-          return Status::OK();
-        }
-      }
+    if (zero == ZeroInit::kNo && planned_output_.valid() &&
+        planned_output_.dtype() == dtype && planned_output_.shape() == shape) {
+      *out = std::exchange(planned_output_, Tensor());
+      return Status::OK();
     }
     TFHPC_ASSIGN_OR_RETURN(
         *out, Tensor::TryCreate(dtype, std::move(shape), alloc_stats_, zero,
@@ -110,54 +105,18 @@ class OpKernelContext {
     return Status::OK();
   }
 
-  // Buffer forwarding (TF-style in-place reuse): hands back input `i` itself
-  // as the output when this kernel holds the sole reference to its buffer
-  // and dtype/shape match — the executor moves last-use tensors into the
-  // kernel, so uniqueness means no other consumer, fetch or producer cache
-  // can observe the mutation. Falls back to an uninitialized pooled
-  // allocation (callers overwrite every element by contract), which can fail
-  // with kResourceExhausted like AllocateOutput.
-  //
-  // Two refusals keep the static memory plan honest: arena views are never
-  // forwarded (a view handed to an unplanned output would outlive the
-  // interval the plan proved dead), and nodes the plan covers disable
-  // runtime forwarding wholesale (their aliasing decisions were made at
-  // compile time; see set_allow_forwarding).
-  Status ForwardOrAllocate(std::initializer_list<int> candidates, DType dtype,
-                           const Shape& shape, Tensor* out) const {
-    if (!meta_exec() && allow_forwarding_) {
-      for (int i : candidates) {
-        const Tensor& in = input(i);
-        if (in.is_meta() || in.dtype() != dtype || !(in.shape() == shape))
-          continue;
-        if (in.buffer_unique() && !in.buffer()->is_view()) {
-          if (alloc_stats_ != nullptr) alloc_stats_->RecordForward();
-          *out = in;
-          return Status::OK();
-        }
-      }
-    }
-    return AllocateOutput(dtype, Shape(shape), out, ZeroInit::kNo);
-  }
-
-  // The executor clears this for nodes with planned (arena) outputs: their
-  // in-place reuse, if any, is already encoded in the plan's offsets, and a
-  // runtime forward would bypass the presized arena view.
-  void set_allow_forwarding(bool allow) { allow_forwarding_ = allow; }
-
  private:
   const Node* node_;
   std::vector<Tensor> inputs_;
   std::vector<Tensor> outputs_;
-  // Pre-sized output buffers; mutable so the const allocation helpers can
-  // consume them.
-  mutable std::vector<Tensor> presized_;
+  // The arena view set by the executor, until AllocateOutput hands it out;
+  // mutable so the const allocation helper can consume it.
+  mutable Tensor planned_output_;
   ResourceMgr* resources_;
   bool simulate_;
   AllocatorStats* alloc_stats_;
   CancellationToken* cancellation_ = nullptr;
   std::shared_ptr<MemoryLimiter> step_limiter_;
-  bool allow_forwarding_ = true;
 };
 
 class OpKernel {

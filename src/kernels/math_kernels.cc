@@ -52,11 +52,11 @@ class BinaryKernel : public OpKernel {
                              b.shape().ToString());
     }
     const Shape& out_shape = a_scalar ? b.shape() : a.shape();
-    // Forward a last-use operand's buffer in place when possible; ApplyBin
-    // reads index i before writing index i, so aliasing out with either
-    // operand is safe. Scalar operands never match out_shape and are skipped.
+    // The memory plan may place out over a dying operand; ApplyBin reads
+    // index i before writing index i, so that in-place alias is safe.
     Tensor out;
-    TFHPC_RETURN_IF_ERROR(ctx->ForwardOrAllocate({0, 1}, a.dtype(), out_shape, &out));
+    TFHPC_RETURN_IF_ERROR(
+        ctx->AllocateOutput(a.dtype(), out_shape, &out, ZeroInit::kNo));
     if (!ctx->meta_exec()) {
       const int64_t n = out.num_elements();
       switch (a.dtype()) {
@@ -130,7 +130,8 @@ class SqrtKernel : public OpKernel {
   Status Compute(OpKernelContext* ctx) override {
     const Tensor& a = ctx->input(0);
     Tensor out;
-    TFHPC_RETURN_IF_ERROR(ctx->ForwardOrAllocate({0}, a.dtype(), a.shape(), &out));
+    TFHPC_RETURN_IF_ERROR(
+        ctx->AllocateOutput(a.dtype(), a.shape(), &out, ZeroInit::kNo));
     if (!ctx->meta_exec()) {
       const int64_t n = a.num_elements();
       if (a.dtype() == DType::kF64) {
@@ -244,10 +245,11 @@ class AxpyKernel : public OpKernel {
         alpha.dtype() != x.dtype()) {
       return InvalidArgument("Axpy operand mismatch");
     }
-    // d[i] depends only on xs[i]/ys[i], so forwarding either vector operand
-    // is alias-safe.
+    // d[i] depends only on xs[i]/ys[i], so the memory plan may alias out
+    // with either vector operand.
     Tensor out;
-    TFHPC_RETURN_IF_ERROR(ctx->ForwardOrAllocate({1, 2}, x.dtype(), x.shape(), &out));
+    TFHPC_RETURN_IF_ERROR(
+        ctx->AllocateOutput(x.dtype(), x.shape(), &out, ZeroInit::kNo));
     if (!ctx->meta_exec()) {
       const int64_t n = x.num_elements();
       if (x.dtype() == DType::kF64) {
@@ -401,10 +403,9 @@ class FftKernel : public OpKernel {
                              x.shape().ToString());
     }
     TFHPC_ASSIGN_OR_RETURN(bool inverse, ctx->node().AttrBool("inverse"));
-    // The transform runs in a scratch vector copied from x before the final
-    // memcpy, so forwarding x's buffer as the output is safe.
     Tensor out;
-    TFHPC_RETURN_IF_ERROR(ctx->ForwardOrAllocate({0}, DType::kC128, x.shape(), &out));
+    TFHPC_RETURN_IF_ERROR(
+        ctx->AllocateOutput(DType::kC128, x.shape(), &out, ZeroInit::kNo));
     if (!ctx->meta_exec()) {
       const auto src = x.data<std::complex<double>>();
       std::vector<std::complex<double>> buf(src.begin(), src.end());

@@ -144,11 +144,10 @@ Result<std::shared_ptr<const Executable>> Executor::Compile(
     const std::vector<std::string>& feed_keys,
     const std::vector<std::string>& fetches,
     const std::vector<std::string>& targets,
-    const StaticShapeMap* static_shapes,
     const analysis::MemoryPlan* memory_plan) {
   return CompileOn(*graph_, graph_->version(), /*use_caches=*/true,
                    /*owned_graph=*/nullptr, feed_keys, fetches, targets,
-                   static_shapes, memory_plan);
+                   memory_plan);
 }
 
 Result<std::shared_ptr<const Executable>> Executor::CompileGraph(
@@ -156,12 +155,11 @@ Result<std::shared_ptr<const Executable>> Executor::CompileGraph(
     const std::vector<std::string>& feed_keys,
     const std::vector<std::string>& fetches,
     const std::vector<std::string>& targets,
-    const StaticShapeMap* static_shapes,
     const analysis::MemoryPlan* memory_plan) {
   if (graph == nullptr) return InvalidArgument("CompileGraph: null graph");
   const Graph& g = *graph;
   return CompileOn(g, graph_version, /*use_caches=*/false, std::move(graph),
-                   feed_keys, fetches, targets, static_shapes, memory_plan);
+                   feed_keys, fetches, targets, memory_plan);
 }
 
 Result<std::shared_ptr<const Executable>> Executor::CompileOn(
@@ -170,7 +168,6 @@ Result<std::shared_ptr<const Executable>> Executor::CompileOn(
     const std::vector<std::string>& feed_keys,
     const std::vector<std::string>& fetches,
     const std::vector<std::string>& targets,
-    const StaticShapeMap* static_shapes,
     const analysis::MemoryPlan* memory_plan) {
   const int64_t version = graph_version;
 
@@ -266,38 +263,15 @@ Result<std::shared_ptr<const Executable>> Executor::CompileOn(
       TFHPC_ASSIGN_OR_RETURN(cn.device, PlaceNodeUncached(*cn.node));
       TFHPC_ASSIGN_OR_RETURN(cn.kernel, InstantiateKernel(*cn.node, cn.device));
     }
-    // Bake statically inferred output sizes for kernels that fully
-    // overwrite their outputs — Execute pre-sizes those buffers.
-    if (static_shapes != nullptr && cn.node->op_def().overwrites_outputs) {
-      auto it = static_shapes->find(cn.node->name());
-      if (it != static_shapes->end() &&
-          static_cast<int>(it->second.size()) == cn.num_outputs) {
-        cn.static_outputs = it->second;
-      }
-    }
-    // Accumulate the step's statically known output footprint; the serving
-    // layer admits steps against a byte budget using this estimate.
-    for (const auto& [dt, shp] : cn.static_outputs) {
-      exe->estimated_bytes_ +=
-          shp.num_elements() * static_cast<int64_t>(DTypeSize(dt));
-    }
-    // Bind this node's output to its arena offset when the memory plan
-    // covers it. The planner only emits single-output placements, and its
-    // byte count must match the static shape it was computed from — any
-    // disagreement (stale plan) leaves the node on the pool path.
-    if (memory_plan != nullptr && cn.num_outputs == 1 &&
-        cn.static_outputs.size() == 1) {
-      const analysis::PlannedTensor* pt =
-          memory_plan->Find(cn.node->name(), 0);
-      const auto& [dt, shp] = cn.static_outputs[0];
-      const int64_t static_bytes =
-          shp.num_elements() * static_cast<int64_t>(DTypeSize(dt));
-      if (pt != nullptr && pt->bytes == static_bytes && pt->bytes > 0) {
-        cn.planned_offset = pt->offset;
-        cn.planned_bytes = pt->bytes;
-        exe->num_planned_++;
-        if (exe->arena_device_ == nullptr) exe->arena_device_ = cn.device;
-      }
+    // Bind this node's output to its arena placement when the memory plan
+    // covers it (the planner only places single-output nodes).
+    const analysis::PlannedTensor* pt =
+        memory_plan != nullptr ? memory_plan->Find(cn.node->name(), 0)
+                               : nullptr;
+    if (pt != nullptr) {
+      cn.planned = *pt;
+      exe->num_planned_++;
+      if (exe->arena_device_ == nullptr) exe->arena_device_ = cn.device;
     }
   }
   if (memory_plan != nullptr) {
@@ -328,7 +302,7 @@ Result<std::shared_ptr<const Executable>> Executor::CompileOn(
   }
   exe->fetch_keys_ = fetches;
 
-  // ---- Output use counts (for move-on-last-use / buffer forwarding). -----
+  // ---- Output use counts (for move-on-last-use). ---------------------------
   exe->output_uses_.resize(exe->nodes_.size());
   for (size_t i = 0; i < exe->nodes_.size(); ++i) {
     exe->output_uses_[i].assign(
@@ -467,8 +441,8 @@ Result<std::vector<Tensor>> Executor::Execute(
           Tensor& src =
               outputs[static_cast<size_t>(producer)][static_cast<size_t>(slot)];
           // The final reader takes the tensor by move: with the executor's
-          // reference gone, a kernel holding the sole buffer reference may
-          // forward it in place instead of allocating a fresh output.
+          // reference gone, a pooled buffer returns to the pool as soon as
+          // that kernel is done with it, not at step end.
           if (--uses[static_cast<size_t>(producer)][static_cast<size_t>(slot)] ==
               0) {
             inputs.push_back(std::move(src));
@@ -482,35 +456,16 @@ Result<std::vector<Tensor>> Executor::Execute(
                           cn.device->allocator_stats());
       ctx.set_cancellation(token);
       ctx.set_step_limiter(step_limiter);
-      if (!options.simulate) {
-        if (cn.planned_offset >= 0 && arena != nullptr) {
-          // Planned output: a view into the step arena at the offset the
-          // plan proved dead by this node's turn. No allocation, no budget
-          // charge (the arena block carries it), and no runtime forwarding
-          // — in-place reuse, if safe, is already encoded in the offsets.
-          const auto& [dt, shp] = cn.static_outputs[0];
-          ctx.AddPresized(Tensor::FromBuffer(
-              dt, shp,
-              Buffer::CreateView(arena,
-                                 static_cast<size_t>(cn.planned_offset),
-                                 static_cast<size_t>(cn.planned_bytes))));
-          ctx.set_allow_forwarding(false);
-        } else {
-          for (const auto& [dt, shp] : cn.static_outputs) {
-            // Pre-sizing is fallible like any other step allocation: under
-            // memory pressure the node fails with kResourceExhausted and the
-            // step unwinds instead of aborting the process.
-            auto presized =
-                Tensor::TryCreate(dt, shp, cn.device->allocator_stats(),
-                                  ZeroInit::kNo, step_limiter);
-            if (!presized.ok()) {
-              status = presized.status();
-              break;
-            }
-            ctx.AddPresized(std::move(*presized));
-          }
-          if (!status.ok()) break;
-        }
+      if (cn.planned && arena != nullptr) {
+        // Planned output: a view into the step arena at the offset the plan
+        // proved dead by this node's turn. No allocation and no budget
+        // charge (the arena block carries it); in-place reuse, if safe, is
+        // already encoded in the offsets.
+        const analysis::PlannedTensor& pt = *cn.planned;
+        ctx.set_planned_output(Tensor::FromBuffer(
+            pt.dtype, pt.shape,
+            Buffer::CreateView(arena, static_cast<size_t>(pt.offset),
+                               static_cast<size_t>(pt.bytes))));
       }
       const CostEstimate cost = cn.kernel->Cost(ctx);
       if (!options.simulate) {

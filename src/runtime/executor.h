@@ -21,6 +21,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -81,13 +82,6 @@ struct RunMetadata {
 // Renders the tfdbg-style watch list ("node (op) @device: summary").
 std::string FormatDebugReport(const RunMetadata& metadata);
 
-// Statically inferred output facts per node name, one (dtype, shape) pair
-// per output slot — produced by GraphCheck shape inference (analysis/) and
-// handed to Compile so Execute can pre-size output buffers from the pooled
-// allocator before the kernel runs.
-using StaticShapeMap =
-    std::map<std::string, std::vector<std::pair<DType, Shape>>>;
-
 // An immutable compiled step: the pruned closure in topological order with
 // placement, kernels, dependency counts and fanout baked into flat vectors.
 // Compiled once by Executor::Compile, executed many times by
@@ -106,11 +100,6 @@ class Executable {
   int num_scheduled_nodes() const { return num_scheduled_; }
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
   const std::vector<std::string>& fetches() const { return fetch_keys_; }
-  // Statically estimated output bytes for one execution of this step,
-  // summed from GraphCheck's inferred shapes (nodes without a static shape
-  // contribute nothing, so this is a lower bound). The serving layer admits
-  // steps against a byte budget using this estimate.
-  int64_t estimated_bytes() const { return estimated_bytes_; }
 
   // Static memory plan facts (analysis/memory_plan.h), baked at compile
   // time when Session::Prepare computed a plan. arena_bytes() is the single
@@ -119,7 +108,7 @@ class Executable {
   int64_t arena_bytes() const { return arena_bytes_; }
   // Compile-time upper bound on the step's limiter-charged footprint, sound
   // under any concurrent interleaving; 0 when no plan was attached. Serving
-  // admission prefers this over estimated_bytes().
+  // admission charges this against its byte budget.
   int64_t static_peak_bytes() const { return static_peak_bytes_; }
   // Scheduled nodes whose output is served from the arena.
   int num_planned_nodes() const { return num_planned_; }
@@ -144,16 +133,10 @@ class Executable {
     // never touches the Graph during Execute (concurrent steps may race
     // with graph mutation otherwise).
     std::vector<std::string> input_names;
-    // Statically known (dtype, shape) per output slot, for ops whose
-    // kernels fully overwrite outputs; empty when unknown. Execute attaches
-    // matching pre-sized buffers to the kernel context.
-    std::vector<std::pair<DType, Shape>> static_outputs;
     // Arena placement for this node's sole output (the planner only covers
-    // single-output nodes): byte offset into the step arena, or -1 when the
-    // output is pool-allocated. Planned nodes run with runtime forwarding
-    // disabled — their aliasing was decided at compile time.
-    int64_t planned_offset = -1;
-    int64_t planned_bytes = 0;
+    // single-output nodes); empty when the kernel allocates its output from
+    // the pool.
+    std::optional<analysis::PlannedTensor> planned;
   };
   struct FeedBinding {
     std::string key;  // "name" or "name:slot" as the caller feeds it
@@ -169,8 +152,8 @@ class Executable {
   std::vector<CompiledNode> nodes_;  // topological order
   // Per (node, output slot): number of step-local references — consumer data
   // inputs plus fetch bindings. Execute counts these down and *moves* the
-  // tensor to its final consumer, so a kernel receiving the sole reference
-  // to an input buffer may forward it in place (TF-style buffer reuse).
+  // tensor to its final consumer, so a pooled buffer returns to the pool at
+  // its last read instead of at step end.
   std::vector<std::vector<int>> output_uses_;
   std::vector<int> initial_ready_;   // indexes with pending == 0, not fed
   std::vector<FeedBinding> feed_bindings_;
@@ -178,7 +161,6 @@ class Executable {
   std::vector<std::string> fetch_keys_;
   int64_t graph_version_ = 0;
   int num_scheduled_ = 0;
-  int64_t estimated_bytes_ = 0;
   int64_t arena_bytes_ = 0;
   int64_t static_peak_bytes_ = 0;
   int num_planned_ = 0;
@@ -202,17 +184,15 @@ class Executor {
   // Compiles one run signature into an Executable. `feed_keys` are the names
   // ("node" or "node:slot") that Execute will supply tensors for — values
   // are not needed to compile. The signature must fetch or target at least
-  // one node. `static_shapes` (optional) carries GraphCheck's fully-known
-  // output annotations; nodes whose op declares overwrites_outputs get their
-  // output buffers pre-sized at execution time. `memory_plan` (optional)
-  // is the static memory plan computed over the same signature: planned
-  // single-output nodes are bound to arena offsets and the plan's
-  // arena/peak byte facts are baked into the Executable.
+  // one node. `memory_plan` (optional) is the static memory plan computed
+  // over the same signature: planned single-output nodes are bound to arena
+  // placements and the plan's arena/peak byte facts are baked into the
+  // Executable. Every other output comes from the pool, allocated by its
+  // kernel.
   Result<std::shared_ptr<const Executable>> Compile(
       const std::vector<std::string>& feed_keys,
       const std::vector<std::string>& fetches,
       const std::vector<std::string>& targets = {},
-      const StaticShapeMap* static_shapes = nullptr,
       const analysis::MemoryPlan* memory_plan = nullptr);
 
   // Compiles against `graph` instead of the session graph — the path the
@@ -227,7 +207,6 @@ class Executor {
       const std::vector<std::string>& feed_keys,
       const std::vector<std::string>& fetches,
       const std::vector<std::string>& targets = {},
-      const StaticShapeMap* static_shapes = nullptr,
       const analysis::MemoryPlan* memory_plan = nullptr);
 
   // Runs a compiled step. `feeds` must supply every feed key the executable
@@ -287,7 +266,6 @@ class Executor {
       const std::vector<std::string>& feed_keys,
       const std::vector<std::string>& fetches,
       const std::vector<std::string>& targets,
-      const StaticShapeMap* static_shapes,
       const analysis::MemoryPlan* memory_plan);
 };
 

@@ -9,7 +9,7 @@ ServingController::ServingController(ServingOptions options)
 
 Status ServingController::Admit(const std::string& client_id,
                                 CancellationToken* token,
-                                int64_t estimated_bytes) {
+                                int64_t step_bytes) {
   // Registered before mu_ so the callback (which takes mu_) cannot deadlock
   // against this frame, and deregistered after the wait completes.
   CancelCallback wake(token, [this] {
@@ -27,20 +27,20 @@ Status ServingController::Admit(const std::string& client_id,
   // never be admittable: permanent kResourceExhausted (no [transient] tag),
   // so clients don't waste retries on it.
   if (options_.max_estimated_bytes > 0 &&
-      estimated_bytes > options_.max_estimated_bytes) {
+      step_bytes > options_.max_estimated_bytes) {
     ++stats_.rejected_oversize;
     return ResourceExhausted(
-        "step estimated bytes " + std::to_string(estimated_bytes) +
-        " exceed the serving memory budget " +
+        "step static peak " + std::to_string(step_bytes) +
+        " bytes exceeds the serving memory budget " +
         std::to_string(options_.max_estimated_bytes));
   }
 
   // Fast path — but only when nobody is queued: arrivals must not barge
   // past tickets already waiting their fair turn.
   if (inflight_ < options_.max_inflight && queued_ == 0 &&
-      BytesFitLocked(estimated_bytes)) {
+      BytesFitLocked(step_bytes)) {
     ++inflight_;
-    inflight_bytes_ += estimated_bytes;
+    inflight_bytes_ += step_bytes;
     ++stats_.admitted;
     return Status::OK();
   }
@@ -54,7 +54,7 @@ Status ServingController::Admit(const std::string& client_id,
   }
 
   Ticket ticket;
-  ticket.bytes = estimated_bytes;
+  ticket.bytes = step_bytes;
   queues_[client_id].push_back(&ticket);
   ++queued_;
   GrantNextLocked();  // a slot may be free right now (we just joined the line)
@@ -97,10 +97,10 @@ Status ServingController::Admit(const std::string& client_id,
   return Status::OK();
 }
 
-void ServingController::Release(int64_t estimated_bytes) {
+void ServingController::Release(int64_t step_bytes) {
   MutexLock lk(mu_);
   --inflight_;
-  inflight_bytes_ -= estimated_bytes;
+  inflight_bytes_ -= step_bytes;
   ++stats_.completed;
   GrantNextLocked();
   cv_.notify_all();

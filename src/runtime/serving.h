@@ -35,12 +35,13 @@ struct ServingOptions {
   int max_queued = 64;
   // Retry-after hint (ms) embedded in the kUnavailable shed status.
   int64_t retry_after_ms = 50;
-  // Memory-aware admission: total estimated bytes of concurrently executing
-  // steps (from GraphCheck's inferred static shapes, see
-  // Executable::estimated_bytes). 0 = no byte budget. A step that fits the
-  // budget but not the current headroom queues like any other admission; a
-  // step whose estimate exceeds the whole budget can never run here and is
-  // rejected with *permanent* kResourceExhausted.
+  // Memory-aware admission: total bytes of concurrently executing steps,
+  // each charged its memory plan's static peak (Executable::
+  // static_peak_bytes; 0 for a step compiled without a plan). 0 = no byte
+  // budget. A step that fits the budget but not the current headroom
+  // queues like any other admission; a step whose peak exceeds the whole
+  // budget can never run here and is rejected with *permanent*
+  // kResourceExhausted.
   int64_t max_estimated_bytes = 0;
 };
 
@@ -49,10 +50,10 @@ struct ServingStats {
   int64_t shed = 0;            // rejected kUnavailable (queue full)
   int64_t expired_in_queue = 0;  // ticket cancelled or deadlined while queued
   int64_t completed = 0;       // Release() calls
-  int64_t rejected_oversize = 0;  // estimate alone exceeds the byte budget
+  int64_t rejected_oversize = 0;  // peak alone exceeds the byte budget
   int inflight = 0;            // current executing steps
   int queued = 0;              // current waiting tickets
-  int64_t inflight_bytes = 0;  // estimated bytes of executing steps
+  int64_t inflight_bytes = 0;  // charged bytes of executing steps
 };
 
 class ServingController {
@@ -60,16 +61,16 @@ class ServingController {
   explicit ServingController(ServingOptions options = {});
 
   // Acquires an execution slot for one step of `client_id`. Returns OK when
-  // granted (the caller MUST pair it with Release(estimated_bytes), same
+  // granted (the caller MUST pair it with Release(step_bytes), same
   // value); blocks in the fair admission queue while the server is at
-  // max_inflight or the byte budget lacks headroom for `estimated_bytes`;
+  // max_inflight or the byte budget lacks headroom for `step_bytes`;
   // fails fast with kUnavailable when the queue is full, with permanent
-  // kResourceExhausted when the estimate can never fit the budget, and with
+  // kResourceExhausted when the step can never fit the budget, and with
   // the token's status if it cancels or its deadline passes while waiting.
   // New arrivals never barge past queued tickets even when a slot is free.
   Status Admit(const std::string& client_id, CancellationToken* token,
-               int64_t estimated_bytes = 0);
-  void Release(int64_t estimated_bytes = 0);
+               int64_t step_bytes = 0);
+  void Release(int64_t step_bytes = 0);
 
   ServingStats stats() const;
   const ServingOptions& options() const { return options_; }
@@ -78,12 +79,12 @@ class ServingController {
   class Slot {
    public:
     Slot(ServingController* controller, const std::string& client_id,
-         CancellationToken* token, int64_t estimated_bytes = 0)
+         CancellationToken* token, int64_t step_bytes = 0)
         : controller_(controller),
-          estimated_bytes_(estimated_bytes),
-          status_(controller->Admit(client_id, token, estimated_bytes)) {}
+          step_bytes_(step_bytes),
+          status_(controller->Admit(client_id, token, step_bytes)) {}
     ~Slot() {
-      if (status_.ok()) controller_->Release(estimated_bytes_);
+      if (status_.ok()) controller_->Release(step_bytes_);
     }
     Slot(const Slot&) = delete;
     Slot& operator=(const Slot&) = delete;
@@ -91,7 +92,7 @@ class ServingController {
 
    private:
     ServingController* controller_;
-    int64_t estimated_bytes_;
+    int64_t step_bytes_;
     Status status_;
   };
 
@@ -108,7 +109,7 @@ class ServingController {
   void RemoveTicketLocked(const std::string& client_id, Ticket* t)
       TFHPC_REQUIRES(mu_);
 
-  // True when `bytes` more estimated bytes fit the byte budget.
+  // True when `bytes` more bytes fit the byte budget.
   bool BytesFitLocked(int64_t bytes) const TFHPC_REQUIRES(mu_) {
     return options_.max_estimated_bytes <= 0 ||
            inflight_bytes_ + bytes <= options_.max_estimated_bytes;

@@ -103,26 +103,7 @@ Session::CompileResult Session::CompileSignature(const RunSignature& sig) {
 
   // GraphCheck: static verification + shape inference for this signature's
   // closure. Strict mode fails the compile on ERROR findings; warn mode
-  // prints them. Either way, fully-known shape annotations feed Compile so
-  // the executor can pre-size output buffers.
-  StaticShapeMap static_shapes;
-  auto collect_shapes = [&static_shapes](
-                            const analysis::GraphAnalysis& analysis) {
-    for (const auto& [name, slots] : analysis.annotations) {
-      std::vector<std::pair<DType, Shape>> known;
-      known.reserve(slots.size());
-      bool all_known = !slots.empty();
-      for (const auto& t : slots) {
-        if (!t.fully_known()) {
-          all_known = false;
-          break;
-        }
-        known.emplace_back(t.dtype, t.shape.ToShape());
-      }
-      if (all_known) static_shapes.emplace(name, std::move(known));
-    }
-  };
-
+  // prints them. Either way, the inferred shapes feed the memory plan.
   analysis::AnalysisOptions check_opts;
   check_opts.feeds = sig.feeds;
   check_opts.fetches = fetches;
@@ -137,14 +118,13 @@ Session::CompileResult Session::CompileSignature(const RunSignature& sig) {
   std::unique_ptr<analysis::MemoryPlan> plan;
   auto build_plan = [&](const wire::GraphDef& gdef,
                         const analysis::GraphAnalysis& ga) -> Status {
-    if (!options_.memory_planning || ga.has_errors()) return Status::OK();
+    if (ga.has_errors()) return Status::OK();
     auto live = analysis::LivenessAnalysis::Compute(gdef, check_opts,
                                                     ga.annotations);
     if (!live.ok()) return Status::OK();  // structural issues: already linted
-    auto planned = analysis::MemoryPlan::Plan(*live);
-    if (!planned.ok()) return Status::OK();
+    analysis::MemoryPlan planned = analysis::MemoryPlan::Plan(*live);
     std::vector<analysis::Diagnostic> lints = analysis::LintMemory(
-        gdef, *live, *planned, options_.step_memory_limit_bytes);
+        gdef, *live, planned, options_.step_memory_limit_bytes);
     if (options_.graph_check != GraphCheckMode::kOff) {
       if (analysis::HasErrors(lints) &&
           options_.graph_check == GraphCheckMode::kStrict) {
@@ -161,7 +141,7 @@ Session::CompileResult Session::CompileSignature(const RunSignature& sig) {
         }
       }
     }
-    plan = std::make_unique<analysis::MemoryPlan>(std::move(*planned));
+    plan = std::make_unique<analysis::MemoryPlan>(std::move(planned));
     return Status::OK();
   };
 
@@ -217,27 +197,20 @@ Session::CompileResult Session::CompileSignature(const RunSignature& sig) {
             optimizer::OptimizerLevelName(options_.optimizer_level) + "):\n" +
             analysis::FormatDiagnostics(errors));
       }
-      collect_shapes(post);
       TFHPC_RETURN_IF_ERROR(build_plan(rewritten.graph, post));
       TFHPC_ASSIGN_OR_RETURN(std::unique_ptr<Graph> rewritten_graph,
                              Graph::FromGraphDef(rewritten.graph));
       TFHPC_ASSIGN_OR_RETURN(
           exe, executor_.CompileGraph(
                    std::shared_ptr<const Graph>(std::move(rewritten_graph)),
-                   version, sig.feeds, fetches, targets,
-                   static_shapes.empty() ? nullptr : &static_shapes,
-                   plan.get()));
+                   version, sig.feeds, fetches, targets, plan.get()));
     } else {
-      collect_shapes(analysis);
       TFHPC_RETURN_IF_ERROR(build_plan(def, analysis));
     }
   }
   if (exe == nullptr) {
     TFHPC_ASSIGN_OR_RETURN(
-        exe, executor_.Compile(sig.feeds, fetches, targets,
-                               static_shapes.empty() ? nullptr
-                                                     : &static_shapes,
-                               plan.get()));
+        exe, executor_.Compile(sig.feeds, fetches, targets, plan.get()));
   }
   return exe;
 }

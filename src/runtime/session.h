@@ -44,6 +44,14 @@ struct RunSignature {
 };
 
 // How Session runs GraphCheck (analysis/verifier.h) at compile time.
+// Whenever the graph is analysed (graph_check on, or the optimizer on), the
+// compile also runs static memory planning (analysis/liveness.h +
+// memory_plan.h): tensor live intervals over the compiled closure, a
+// deterministic arena plan for statically-shaped tensors, and memory lints
+// (GC018 budget breach — rejects in strict mode before any kernel runs;
+// GC019 racing variable overwrite). Planned steps allocate one arena block
+// per step instead of one pool allocation per planned output. kOff with the
+// optimizer off is the pool-only baseline: every output comes from the pool.
 enum class GraphCheckMode {
   kOff,     // skip static analysis entirely
   kWarn,    // report findings to stderr, run anyway (default)
@@ -62,15 +70,6 @@ struct SessionOptions {
   // RunOptions does not set its own; 0 = unbudgeted. Breaches fail the step
   // with permanent kResourceExhausted (see core/buffer.h).
   int64_t step_memory_limit_bytes = 0;
-  // Static memory planning (analysis/liveness.h + memory_plan.h), run once
-  // per signature-cache miss: tensor live intervals over the compiled
-  // closure, a deterministic arena plan for statically-shaped tensors, and
-  // memory lints (GC018 budget breach — rejects in strict mode before any
-  // kernel runs; GC019 racing variable overwrite). Planned steps allocate
-  // one arena block per step instead of one pool allocation per output.
-  // Requires graph analysis: inert when graph_check is kOff and the
-  // optimizer is off.
-  bool memory_planning = true;
   // Allocator fault schedule, installed process-wide at session
   // construction when any schedule is enabled (testing/chaos only — the
   // injector is global, like the pool it torments).

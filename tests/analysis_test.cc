@@ -1,6 +1,7 @@
 // Tests for GraphCheck (src/analysis): structural verifier, static
 // shape/dtype inference, dataflow lints, partition-plan checks, and the
-// Session strict/warn integration (including executor buffer pre-sizing).
+// Session strict/warn integration (including output placement from the
+// memory plan).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -669,9 +670,9 @@ TEST(SessionGraphCheckTest, StrictModeAllowsCleanGraphs) {
   EXPECT_DOUBLE_EQ((*result)[0].data<double>()[0], 6.0);
 }
 
-// ---- executor pre-sizing from static shapes ---------------------------------
+// ---- output placement from the memory plan ----------------------------------
 
-TEST(PresizeTest, StaticallyKnownOutputsUsePresizedBuffers) {
+TEST(PlannedOutputTest, StaticallyKnownOutputsArePlanned) {
   LocalRuntime rt(1);
   Scope s = rt.root_scope();
   Tensor ta(DType::kF32, Shape{8, 8});
@@ -685,36 +686,37 @@ TEST(PresizeTest, StaticallyKnownOutputsUsePresizedBuffers) {
   auto mm = ops::MatMul(s, a, b);
   auto total = ops::ReduceSum(s, mm);
 
+  // MatMul's output is fully known and only read by ReduceSum, so the plan
+  // places it in the arena; the fetched sum leaves the step and stays on
+  // the pool.
   auto sess = rt.NewSession();
-  auto result = sess->Run({}, {total.name()});
+  auto exe = sess->Prepare({}, {total.name()});
+  ASSERT_TRUE(exe.ok()) << exe.status().ToString();
+  EXPECT_EQ((*exe)->num_planned_nodes(), 1);
+  EXPECT_EQ((*exe)->arena_bytes(), 8 * 8 * 4);
+
+  auto result = sess->RunPrepared(**exe, {});
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_FLOAT_EQ((*result)[0].data<float>()[0], 8 * 2.0f * 64);
-
-  // MatMul and ReduceSum have fully-known output shapes, so the executor
-  // handed their kernels pre-sized buffers; the allocator counted them.
-  int64_t presized = 0;
-  for (const auto& d : rt.devices().devices()) {
-    presized += d->allocator_stats()->presized();
-  }
-  EXPECT_GE(presized, 2);
 }
 
-TEST(PresizeTest, GraphCheckOffDisablesPresizing) {
+TEST(PlannedOutputTest, GraphCheckOffPlansNothing) {
   LocalRuntime rt(1);
   Scope s = rt.root_scope();
   auto a = ops::Const(s, Tensor(DType::kF32, Shape{4, 4}));
   auto b = ops::Const(s, Tensor(DType::kF32, Shape{4, 4}));
   auto mm = ops::MatMul(s, a, b);
+  auto total = ops::ReduceSum(s, mm);
 
   SessionOptions opts;
   opts.graph_check = GraphCheckMode::kOff;
   auto sess = rt.NewSession(opts);
-  ASSERT_TRUE(sess->Run({}, {mm.name()}).ok());
-  int64_t presized = 0;
-  for (const auto& d : rt.devices().devices()) {
-    presized += d->allocator_stats()->presized();
-  }
-  EXPECT_EQ(presized, 0);
+  auto exe = sess->Prepare({}, {total.name()});
+  ASSERT_TRUE(exe.ok()) << exe.status().ToString();
+  EXPECT_EQ((*exe)->num_planned_nodes(), 0);
+  EXPECT_EQ((*exe)->arena_bytes(), 0);
+  EXPECT_EQ((*exe)->static_peak_bytes(), 0);
+  ASSERT_TRUE(sess->RunPrepared(**exe, {}).ok());
 }
 
 // ---- application graphs pass the verifier -----------------------------------

@@ -1,6 +1,6 @@
 // Tests for the pooled allocator (core/buffer.h), uninitialized allocation,
-// and buffer forwarding through kernels and the executor's move-on-last-use
-// input passing.
+// and the lifetime of kernel output buffers through the executor's
+// move-on-last-use input passing and the fetch boundary.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -172,54 +172,9 @@ TEST(TensorBufferTest, FromBufferAdoptsWithoutCopy) {
   EXPECT_FLOAT_EQ(t.data<float>()[63], 63.0f);
 }
 
-TEST(TensorBufferTest, BufferUniqueReflectsSharing) {
-  Tensor t(DType::kF32, Shape{8});
-  EXPECT_TRUE(t.buffer_unique());
-  Tensor alias = t;
-  EXPECT_FALSE(t.buffer_unique());
-  EXPECT_FALSE(alias.buffer_unique());
-}
+// ---- Kernel output buffers -------------------------------------------------
 
-// ---- Kernel buffer forwarding ----------------------------------------------
-
-TEST(BufferForwardTest, UniqueElementwiseInputIsReusedInPlace) {
-  Graph g;
-  Scope s(&g);
-  auto a = ops::Const(s, Tensor::Meta(DType::kF32, Shape{64}), "a");
-  auto b = ops::Const(s, Tensor::Meta(DType::kF32, Shape{64}), "b");
-  auto c = ops::Add(s, a, b);
-
-  Tensor ta(DType::kF32, Shape{64});
-  Tensor tb(DType::kF32, Shape{64});
-  for (int i = 0; i < 64; ++i) {
-    ta.mutable_data<float>()[i] = static_cast<float>(i);
-    tb.mutable_data<float>()[i] = 100.0f;
-  }
-  const void* ta_ptr = ta.raw_data();
-  Tensor tb_alias = tb;  // second reference: tb must NOT be forwarded
-
-  std::vector<Tensor> inputs;
-  inputs.push_back(std::move(ta));  // sole reference: forwardable
-  inputs.push_back(std::move(tb));
-  ResourceMgr rm;
-  AllocatorStats stats;
-  OpKernelContext ctx(c.node, std::move(inputs), &rm, /*simulate=*/false,
-                      &stats);
-  auto kernel = KernelRegistry::Global().Create("Add", "cpu");
-  ASSERT_TRUE(kernel.ok());
-  ASSERT_TRUE((*kernel)->Compute(&ctx).ok());
-
-  const Tensor& out = ctx.outputs()[0];
-  EXPECT_EQ(out.raw_data(), ta_ptr);  // computed in place in a's buffer
-  EXPECT_EQ(stats.forwards(), 1);
-  for (int i = 0; i < 64; ++i) {
-    EXPECT_FLOAT_EQ(out.data<float>()[i], static_cast<float>(i) + 100.0f);
-  }
-  // The shared operand was left untouched.
-  EXPECT_FLOAT_EQ(tb_alias.data<float>()[7], 100.0f);
-}
-
-TEST(BufferForwardTest, SharedInputGetsAFreshBuffer) {
+TEST(OutputBufferTest, SharedInputGetsAFreshBuffer) {
   Graph g;
   Scope s(&g);
   auto a = ops::Const(s, Tensor::Meta(DType::kF64, Shape{16}), "a");
@@ -241,16 +196,16 @@ TEST(BufferForwardTest, SharedInputGetsAFreshBuffer) {
   ASSERT_TRUE((*kernel)->Compute(&ctx).ok());
 
   EXPECT_NE(ctx.outputs()[0].raw_data(), keep.raw_data());
-  EXPECT_EQ(stats.forwards(), 0);
   EXPECT_DOUBLE_EQ(ctx.outputs()[0].data<double>()[9], 9.0);
   EXPECT_DOUBLE_EQ(keep.data<double>()[9], 81.0);  // input unmutated
 }
 
 // ---- Executor move-on-last-use ----------------------------------------------
 
-TEST(BufferForwardTest, FetchedOutputsSurviveDownstreamForwarding) {
+TEST(OutputBufferTest, FetchedOutputsSurviveDownstreamConsumers) {
   // x is both fetched and consumed by Sqrt: the executor must hand Sqrt a
-  // shared reference (blocking in-place reuse), never the fetched copy.
+  // shared reference and keep its own for the fetch, which Sqrt's output
+  // must never overwrite.
   LocalRuntime rt(0);
   Scope s = rt.root_scope();
   Tensor v(DType::kF64, Shape{8});
@@ -265,7 +220,7 @@ TEST(BufferForwardTest, FetchedOutputsSurviveDownstreamForwarding) {
   }
 }
 
-TEST(BufferForwardTest, FetchedResultsOutliveTheRuntime) {
+TEST(OutputBufferTest, FetchedResultsOutliveTheRuntime) {
   // Run results escape to user code that may destroy the runtime (and its
   // devices, whose AllocatorStats the buffers were attributed to) first.
   // The fetch boundary must sever that attribution: stats() is nullptr on
@@ -292,15 +247,15 @@ TEST(BufferForwardTest, FetchedResultsOutliveTheRuntime) {
   kept.clear();  // must not write through a dangling AllocatorStats
 }
 
-TEST(BufferForwardTest, ChainedElementwiseStepsComputeCorrectly) {
+TEST(OutputBufferTest, ChainedElementwiseStepsComputeCorrectly) {
   LocalRuntime rt(0);
   Scope s = rt.root_scope();
   Tensor v(DType::kF64, Shape{32});
   for (int i = 0; i < 32; ++i) v.mutable_data<double>()[i] = 16.0;
   auto x = ops::Const(s, v, "x");
-  auto y = ops::Sqrt(s, x);   // last use of x: forwarded
-  auto z = ops::Sqrt(s, y);   // last use of y: forwarded
-  auto w = ops::Neg(s, z);    // last use of z: forwarded
+  auto y = ops::Sqrt(s, x);   // arena-planned
+  auto z = ops::Sqrt(s, y);   // arena-planned, in place over y
+  auto w = ops::Neg(s, z);    // fetched: allocated from the pool
   auto r = rt.NewSession()->Run({}, {w.name()});
   ASSERT_TRUE(r.ok());
   for (int i = 0; i < 32; ++i) {

@@ -5,7 +5,7 @@
 #include <cmath>
 
 #include "graph/ops.h"
-#include "runtime/optimize.h"
+#include "optimizer/optimizer.h"
 #include "runtime/session.h"
 
 namespace tfhpc {
@@ -96,30 +96,45 @@ TEST(DebugRunTest, CatchesNanProducingStep) {
   EXPECT_TRUE(flagged);
 }
 
-// ---- OptimizeGraphDef ---------------------------------------------------------------
+// ---- the optimizer pipeline at kBasic -------------------------------------------
+
+Result<optimizer::PipelineResult> OptimizeBasic(
+    const Graph& g, const std::vector<std::string>& fetches,
+    const std::vector<std::string>& feeds = {}) {
+  optimizer::PipelineOptions opts;
+  opts.level = optimizer::OptimizerLevel::kBasic;
+  opts.feeds = feeds;
+  opts.fetches = fetches;
+  return optimizer::RunPassPipeline(g.ToGraphDef(), opts);
+}
 
 TEST(OptimizeTest, PipelineComposesAllPasses) {
   Graph g;
   Scope s(&g);
   auto a = ops::Const(s, Tensor::Scalar(2.0), "a");
   auto b = ops::Const(s, Tensor::Scalar(2.0), "b");  // CSE-duplicate of a
-  auto sum = ops::Add(s, a, b);                       // foldable after CSE
+  auto sum = ops::Add(s, a, b);                       // foldable
   auto out = ops::Mul(s, sum, sum);                   // foldable
   ops::Const(s, Tensor::Scalar(9.0), "dead");         // pruned
 
-  OptimizeStats stats;
-  auto opt = OptimizeGraphDef(g.ToGraphDef(), {out.node->name()}, &stats);
-  ASSERT_TRUE(opt.ok());
-  EXPECT_EQ(stats.nodes_before, 5);
-  EXPECT_EQ(stats.cse_merged, 1);
-  EXPECT_GE(stats.folded, 2);
-  EXPECT_EQ(stats.nodes_after, 1);  // single Const remains
-  ASSERT_EQ(opt->nodes.size(), 1u);
-  EXPECT_EQ(opt->nodes[0].op, "Const");
+  auto opt = OptimizeBasic(g, {out.node->name()});
+  ASSERT_TRUE(opt.ok()) << opt.status().ToString();
+  ASSERT_EQ(opt->passes.size(), 3u);
+  EXPECT_EQ(opt->passes[0].name, "const_fold");
+  EXPECT_EQ(opt->passes[0].nodes_before, 5);
+  EXPECT_GE(opt->passes[0].changed, 2);
+  EXPECT_EQ(opt->passes[1].name, "cse");
+  EXPECT_EQ(opt->passes[1].changed, 1);
+  EXPECT_EQ(opt->passes[2].name, "dead_node_elim");
+  EXPECT_EQ(opt->passes[2].nodes_after, 1);  // single Const remains
+  ASSERT_EQ(opt->graph.nodes.size(), 1u);
+  EXPECT_EQ(opt->graph.nodes[0].op, "Const");
 
   // The optimized graph still evaluates to the same value.
   LocalRuntime rt(0);
-  for (const auto& nd : opt->nodes) ASSERT_TRUE(rt.graph().AddNode(nd).ok());
+  for (const auto& nd : opt->graph.nodes) {
+    ASSERT_TRUE(rt.graph().AddNode(nd).ok());
+  }
   auto r = rt.NewSession()->Run({}, {out.node->name()});
   ASSERT_TRUE(r.ok());
   EXPECT_DOUBLE_EQ((*r)[0].scalar<double>(), 16.0);
@@ -134,12 +149,14 @@ TEST(OptimizeTest, DynamicGraphOptimizesAroundPlaceholders) {
   auto ksum = ops::Add(s, k1, k2);  // folds to 7
   auto out = ops::Mul(s, x, ksum);
 
-  auto opt = OptimizeGraphDef(g.ToGraphDef(), {out.node->name()});
-  ASSERT_TRUE(opt.ok());
+  auto opt = OptimizeBasic(g, {out.node->name()}, {"x"});
+  ASSERT_TRUE(opt.ok()) << opt.status().ToString();
   // Expect: placeholder + folded const + mul = 3 nodes.
-  EXPECT_EQ(opt->nodes.size(), 3u);
+  EXPECT_EQ(opt->graph.nodes.size(), 3u);
   LocalRuntime rt(0);
-  for (const auto& nd : opt->nodes) ASSERT_TRUE(rt.graph().AddNode(nd).ok());
+  for (const auto& nd : opt->graph.nodes) {
+    ASSERT_TRUE(rt.graph().AddNode(nd).ok());
+  }
   auto r = rt.NewSession()->Run({{"x", Tensor::Scalar(2.0)}},
                                 {out.node->name()});
   ASSERT_TRUE(r.ok());
@@ -150,7 +167,7 @@ TEST(OptimizeTest, UnknownTargetFails) {
   Graph g;
   Scope s(&g);
   ops::Const(s, Tensor::Scalar(1.0), "a");
-  EXPECT_FALSE(OptimizeGraphDef(g.ToGraphDef(), {"ghost"}).ok());
+  EXPECT_FALSE(OptimizeBasic(g, {"ghost"}).ok());
 }
 
 }  // namespace

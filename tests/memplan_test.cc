@@ -1,7 +1,8 @@
 // Tests for static tensor liveness + the memory planner (src/analysis/
 // liveness.h, memory_plan.h) and their runtime wiring: arena execution
-// bit-identical to pool execution, GC018 strict rejection before any kernel
-// runs, and the ShapeFnRegistry coverage audit.
+// bit-identical to pool execution, two allocations per planned chain step,
+// GC018 strict rejection before any kernel runs, and the ShapeFnRegistry
+// coverage audit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -86,9 +87,8 @@ TEST(LivenessTest, FedTensorLiveFromStepStart) {
 
   // And the planner must neither place it in the arena nor charge it to the
   // static peak.
-  auto plan = MemoryPlan::Plan(live);
-  ASSERT_TRUE(plan.ok());
-  EXPECT_EQ(plan->Find("x", 0), nullptr);
+  const MemoryPlan plan = MemoryPlan::Plan(live);
+  EXPECT_EQ(plan.Find("x", 0), nullptr);
 }
 
 TEST(LivenessTest, FetchedTensorLiveToStepEnd) {
@@ -106,10 +106,9 @@ TEST(LivenessTest, FetchedTensorLiveToStepEnd) {
   }
 
   // Fetched tensors leave the step: the arena must not own their bytes.
-  auto plan = MemoryPlan::Plan(live);
-  ASSERT_TRUE(plan.ok());
-  EXPECT_EQ(plan->Find("a", 0), nullptr);
-  EXPECT_EQ(plan->Find("c", 0), nullptr);
+  const MemoryPlan plan = MemoryPlan::Plan(live);
+  EXPECT_EQ(plan.Find("a", 0), nullptr);
+  EXPECT_EQ(plan.Find("c", 0), nullptr);
 }
 
 TEST(LivenessTest, ControlEdgeConsumerExtendsLifetime) {
@@ -154,10 +153,9 @@ TEST(LivenessTest, DynamicTensorExcludedFromArena) {
   ASSERT_NE(b, nullptr);
   EXPECT_FALSE(b->statically_sized());
 
-  auto plan = MemoryPlan::Plan(*live);
-  ASSERT_TRUE(plan.ok());
-  EXPECT_EQ(plan->Find("b", 0), nullptr);
-  EXPECT_EQ(plan->dynamic_tensors(), 2);  // b and fetched c
+  const MemoryPlan plan = MemoryPlan::Plan(*live);
+  EXPECT_EQ(plan.Find("b", 0), nullptr);
+  EXPECT_EQ(plan.dynamic_tensors(), 2);  // b and fetched c
 }
 
 TEST(LivenessTest, PlanIsDeterministicAcrossRepeatedComputes) {
@@ -166,9 +164,8 @@ TEST(LivenessTest, PlanIsDeterministicAcrossRepeatedComputes) {
 
   auto once = [&]() {
     const LivenessAnalysis live = Live(def, opts);
-    auto plan = MemoryPlan::Plan(live);
-    EXPECT_TRUE(plan.ok());
-    return std::make_pair(plan->ToString(live), plan->arena_bytes());
+    const MemoryPlan plan = MemoryPlan::Plan(live);
+    return std::make_pair(plan.ToString(live), plan.arena_bytes());
   };
   const auto [text1, arena1] = once();
   const auto [text2, arena2] = once();
@@ -191,11 +188,10 @@ TEST(LivenessTest, UnorderedTensorsNeverShareOffsets) {
   def.nodes.push_back(MakeNode("join", "Add", {"l2", "r2"}));
   def.nodes.push_back(MakeNode("out", "Sqrt", {"join"}));
   const LivenessAnalysis live = Live(def, {{"x"}, {"out"}, {}});
-  auto plan = MemoryPlan::Plan(live);
-  ASSERT_TRUE(plan.ok());
+  const MemoryPlan plan = MemoryPlan::Plan(live);
 
-  const analysis::PlannedTensor* l1 = plan->Find("l1", 0);
-  const analysis::PlannedTensor* r1 = plan->Find("r1", 0);
+  const analysis::PlannedTensor* l1 = plan.Find("l1", 0);
+  const analysis::PlannedTensor* r1 = plan.Find("r1", 0);
   ASSERT_NE(l1, nullptr);
   ASSERT_NE(r1, nullptr);
   const bool overlap = l1->offset < r1->offset + r1->bytes &&
@@ -208,19 +204,18 @@ TEST(LivenessTest, UnorderedTensorsNeverShareOffsets) {
 TEST(MemoryLintTest, GC018FiresOnlyOverBudget) {
   const wire::GraphDef def = ChainDef();
   const LivenessAnalysis live = Live(def, {{"x"}, {"c"}, {}});
-  auto plan = MemoryPlan::Plan(live);
-  ASSERT_TRUE(plan.ok());
-  ASSERT_GT(plan->static_peak_bytes(), 0);
+  const MemoryPlan plan = MemoryPlan::Plan(live);
+  ASSERT_GT(plan.static_peak_bytes(), 0);
 
-  auto over = analysis::LintMemory(def, live, *plan,
-                                   plan->static_peak_bytes() - 1);
+  auto over = analysis::LintMemory(def, live, plan,
+                                   plan.static_peak_bytes() - 1);
   ASSERT_NE(Find(over, "GC018"), nullptr);
   EXPECT_EQ(Find(over, "GC018")->severity, analysis::Severity::kError);
 
-  auto fits = analysis::LintMemory(def, live, *plan,
-                                   plan->static_peak_bytes());
+  auto fits = analysis::LintMemory(def, live, plan,
+                                   plan.static_peak_bytes());
   EXPECT_EQ(Find(fits, "GC018"), nullptr);
-  auto unbudgeted = analysis::LintMemory(def, live, *plan, 0);
+  auto unbudgeted = analysis::LintMemory(def, live, plan, 0);
   EXPECT_EQ(Find(unbudgeted, "GC018"), nullptr);
 }
 
@@ -237,9 +232,8 @@ TEST(MemoryLintTest, GC019RacingVariableOverwrite) {
       "w", "Assign", {"init"}, {{"var", wire::AttrValue::Str("v")}}));
   const AnalysisOptions opts{{"init"}, {"read"}, {"w"}};
   const LivenessAnalysis live = Live(def, opts);
-  auto plan = MemoryPlan::Plan(live);
-  ASSERT_TRUE(plan.ok());
-  auto lints = analysis::LintMemory(def, live, *plan, 0);
+  const MemoryPlan plan = MemoryPlan::Plan(live);
+  auto lints = analysis::LintMemory(def, live, plan, 0);
   const Diagnostic* d = Find(lints, "GC019");
   ASSERT_NE(d, nullptr);
   EXPECT_EQ(d->node, "w");
@@ -247,9 +241,8 @@ TEST(MemoryLintTest, GC019RacingVariableOverwrite) {
   // Same graph with the write ordered after the read: no finding.
   def.nodes[3].inputs.push_back("^read");
   const LivenessAnalysis ordered = Live(def, opts);
-  auto plan2 = MemoryPlan::Plan(ordered);
-  ASSERT_TRUE(plan2.ok());
-  EXPECT_EQ(Find(analysis::LintMemory(def, ordered, *plan2, 0), "GC019"),
+  const MemoryPlan plan2 = MemoryPlan::Plan(ordered);
+  EXPECT_EQ(Find(analysis::LintMemory(def, ordered, plan2, 0), "GC019"),
             nullptr);
 }
 
@@ -264,11 +257,11 @@ TEST(MemplanRuntimeTest, ArenaExecutionBitIdenticalToPool) {
   auto c = ops::Sqrt(s, b);
   auto d = ops::Sub(s, c, a);
 
-  SessionOptions planned_opts;
-  planned_opts.memory_planning = true;
+  // GraphCheck off skips the analysis the plan is built from: every output
+  // comes from the pool.
   SessionOptions pool_opts;
-  pool_opts.memory_planning = false;
-  auto planned = rt.NewSession(planned_opts);
+  pool_opts.graph_check = GraphCheckMode::kOff;
+  auto planned = rt.NewSession();
   auto pooled = rt.NewSession(pool_opts);
 
   // The planned session must actually compile an arena (otherwise this test
@@ -291,6 +284,38 @@ TEST(MemplanRuntimeTest, ArenaExecutionBitIdenticalToPool) {
   ASSERT_TRUE(r2.ok()) << r2.status().ToString();
   ASSERT_EQ(r1->size(), 1u);
   EXPECT_TRUE((*r1)[0].BitwiseEquals((*r2)[0]));
+}
+
+TEST(MemplanRuntimeTest, PlannedChainCostsTwoAllocationsPerStep) {
+  LocalRuntime rt(0);
+  Scope s = rt.root_scope();
+  auto x = ops::Placeholder(s, DType::kF64, Shape{64}, "x");
+  auto a = ops::Add(s, x, x);
+  auto b = ops::Mul(s, a, a);
+  auto c = ops::Sqrt(s, b);
+  auto d = ops::Sub(s, c, a);
+
+  auto sess = rt.NewSession();
+  auto exe = sess->Prepare({"x"}, {d.name()});
+  ASSERT_TRUE(exe.ok()) << exe.status().ToString();
+  ASSERT_EQ((*exe)->num_planned_nodes(), 3);  // a, b, c; not the fetched d
+
+  const std::map<std::string, Tensor> feeds = {
+      {"x", Tensor::FromVector(std::vector<double>(64, 1.5))}};
+  auto allocs = [&rt] {
+    int64_t n = 0;
+    for (const auto& dev : rt.devices().devices()) {
+      n += dev->allocator_stats()->allocs();
+    }
+    return n;
+  };
+  const int64_t before = allocs();
+  constexpr int kSteps = 5;
+  for (int i = 0; i < kSteps; ++i) {
+    ASSERT_TRUE(sess->RunPrepared(**exe, feeds).ok());
+  }
+  // Per step: the arena block, plus the fetched output from the pool.
+  EXPECT_EQ(allocs() - before, 2 * kSteps);
 }
 
 TEST(MemplanRuntimeTest, StaticPeakCoversMeasuredPeak) {

@@ -336,6 +336,70 @@ TEST(FusedElementwiseTest, StatefulOpsNeverFuse) {
   EXPECT_EQ(var->op, "Variable");
 }
 
+TEST(FusedElementwiseTest, FetchedChainOverPlannedInputMatchesUnfused) {
+  // The fused chain reads x, an arena-planned MatMul output, and its own
+  // output f is fetched. f must come from the pool: the arena range x
+  // occupied is reused by the planned t = f·f, and the fetch outlives the
+  // step and the runtime.
+  for (const int64_t n : {4, 16, 64}) {
+    SCOPED_TRACE("n = " + std::to_string(n));
+    std::vector<Tensor> unfused;
+    std::vector<Tensor> fused;
+    {
+      LocalRuntime rt(0);
+      Scope s = rt.root_scope();
+      auto a = ops::Placeholder(s, DType::kF64, Shape{n, n}, "a");
+      auto b = ops::Placeholder(s, DType::kF64, Shape{n, n}, "b");
+      auto c = ops::Const(s, Tensor::Scalar(0.75), "c");
+      auto x = ops::MatMul(s, a, b);
+      auto f = ops::Add(s, ops::Mul(s, x, c), c);
+      auto t = ops::MatMul(s, f, f);
+      auto r = ops::ReduceSum(s, t);
+
+      std::vector<double> av(static_cast<size_t>(n * n));
+      std::vector<double> bv(av.size());
+      for (size_t i = 0; i < av.size(); ++i) {
+        av[i] = 0.01 * static_cast<double>(i % 17) - 0.05;
+        bv[i] = 0.02 * static_cast<double>(i % 13) + 0.125;
+      }
+      const std::map<std::string, Tensor> feeds = {
+          {"a", Tensor::FromVector(Shape{n, n}, av)},
+          {"b", Tensor::FromVector(Shape{n, n}, bv)}};
+
+      SessionOptions off;
+      off.optimizer_level = optimizer::OptimizerLevel::kOff;
+      auto r_off = rt.NewSession(off)->Run(feeds, {f.name(), r.name()});
+      ASSERT_TRUE(r_off.ok()) << r_off.status().ToString();
+
+      SessionOptions aggressive;
+      aggressive.optimizer_level = optimizer::OptimizerLevel::kAggressive;
+      aggressive.graph_check = GraphCheckMode::kStrict;
+      RunOptions trace;
+      trace.trace = true;
+      RunMetadata meta;
+      auto r_on = rt.NewSession(aggressive)->Run(feeds, {f.name(), r.name()},
+                                                 {}, trace, &meta);
+      ASSERT_TRUE(r_on.ok()) << r_on.status().ToString();
+      bool fused_ran = false;
+      for (const auto& node : meta.nodes) {
+        fused_ran |= node.op == "FusedElementwise";
+      }
+      ASSERT_TRUE(fused_ran) << "the Mul/Add chain must run fused";
+
+      unfused = std::move(*r_off);
+      fused = std::move(*r_on);
+      ASSERT_EQ(fused.size(), 2u);
+      for (size_t i = 0; i < fused.size(); ++i) {
+        EXPECT_TRUE(fused[i].BitwiseEquals(unfused[i])) << "fetch " << i;
+      }
+    }  // runtime, devices and every step arena destroyed here
+    for (size_t i = 0; i < fused.size(); ++i) {
+      EXPECT_TRUE(fused[i].BitwiseEquals(unfused[i]))
+          << "fetch " << i << " after the runtime is gone";
+    }
+  }
+}
+
 // ---- vector operands + trailing reductions ---------------------------------------
 
 TEST(FusedVectorOperandTest, VectorOperandsFuseAtEveryStage) {

@@ -9,7 +9,7 @@
 #include "core/rng.h"
 #include "graph/ops.h"
 #include "kernels/gemm.h"
-#include "runtime/optimize.h"
+#include "optimizer/optimizer.h"
 #include "runtime/session.h"
 #include "sim/network.h"
 
@@ -72,10 +72,15 @@ TEST_P(RandomDagTest, SessionMatchesReferenceEvaluator) {
   }
 
   // Property extension: the optimized graph evaluates identically.
-  auto opt = OptimizeGraphDef(g.ToGraphDef(), {fetches.back()});
-  ASSERT_TRUE(opt.ok());
+  optimizer::PipelineOptions popts;
+  popts.level = optimizer::OptimizerLevel::kBasic;
+  popts.fetches = {fetches.back()};
+  auto opt = optimizer::RunPassPipeline(g.ToGraphDef(), popts);
+  ASSERT_TRUE(opt.ok()) << opt.status().ToString();
   LocalRuntime rt2(0);
-  for (const auto& nd : opt->nodes) ASSERT_TRUE(rt2.graph().AddNode(nd).ok());
+  for (const auto& nd : opt->graph.nodes) {
+    ASSERT_TRUE(rt2.graph().AddNode(nd).ok());
+  }
   auto r2 = rt2.NewSession()->Run({}, {fetches.back()});
   ASSERT_TRUE(r2.ok());
   EXPECT_NEAR((*r2)[0].scalar<double>(), reference.back(),

@@ -83,22 +83,17 @@ int ReportMemory(const std::string& path, const tfhpc::wire::GraphDef& def,
                  path.c_str(), live.status().ToString().c_str());
     return 1;
   }
-  auto plan = an::MemoryPlan::Plan(*live);
-  if (!plan.ok()) {
-    std::fprintf(stderr, "graphcheck: %s: memory planning failed: %s\n",
-                 path.c_str(), plan.status().ToString().c_str());
-    return 1;
-  }
+  const an::MemoryPlan plan = an::MemoryPlan::Plan(*live);
   std::printf("%s: memory plan:\n%s", path.c_str(),
-              plan->ToString(*live).c_str());
+              plan.ToString(*live).c_str());
   if (budget_bytes > 0) {
     std::printf("%s: budget %lld bytes, static peak %lld bytes (%s)\n",
                 path.c_str(), static_cast<long long>(budget_bytes),
-                static_cast<long long>(plan->static_peak_bytes()),
-                plan->static_peak_bytes() > budget_bytes ? "OVER" : "fits");
+                static_cast<long long>(plan.static_peak_bytes()),
+                plan.static_peak_bytes() > budget_bytes ? "OVER" : "fits");
   }
   int rc = 0;
-  for (const auto& d : an::LintMemory(def, *live, *plan, budget_bytes)) {
+  for (const auto& d : an::LintMemory(def, *live, plan, budget_bytes)) {
     std::printf("%s: %s\n", path.c_str(), d.ToString().c_str());
     if (d.code == "GC018") rc = 1;
   }
