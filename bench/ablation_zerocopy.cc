@@ -1,11 +1,16 @@
 // Ablation: the zero-copy tensor data path (pooled buffers + payload views).
-// A large tensor is pushed through each wire protocol twice — once with the
-// classic inline payload (tensor bytes serialized into the envelope string)
-// and once with the view payload (tensor bytes ride as a buffer reference,
-// wire/payload.h) — and the transport's measured staging traffic is reported
-// per step. RDMA forwards the buffer reference (0 payload copies), MPI
-// stages the view exactly once, and gRPC flattens back to its full
-// 2-serialize + wire-copy path, preserving Fig. 7's ordering.
+// A 64 MB tensor is pushed through each wire protocol twice — once with the
+// classic inline payload (the tensor message serialized into the payload's
+// own string) and once with the view payload (tensor bytes ride as a buffer
+// reference, wire/payload.h) — and the transport's counted staging traffic
+// is reported per step. RDMA forwards the buffer reference (0 payload
+// copies); MPI stages the view's content exactly once, into a block the
+// server adopts as the tensor; gRPC serializes the envelope into one frame
+// and makes one wire copy whichever the payload, and the server parses the
+// tensor out of the received frame — Fig. 7's ordering. The rows count
+// bytes, not time, so they do not depend on whether a staging block comes
+// from the pool or, like the 64 MB frames here (above
+// BufferPool::kMaxPooledBytes), bypasses it.
 #include <cstdio>
 #include <vector>
 

@@ -102,7 +102,7 @@ echo "==== memplan ablation: bit-identical, bounds sound, allocs reduced ===="
 # least one test of the tier-1 build (which registers the same tests as the
 # sanitizer builds), so a renamed suite cannot drop out of a leg silently.
 tsan_filter='ExecutableCache|DistSession|DistStep|FaultTolerance|StepRecovery|JobRecovery|Liveness|Rendezvous|BufferPool|Serving|CancellationToken|Oom|Optimizer|Fused|Coalesce'
-asan_filter='BufferPool|OutputBuffer|TensorBuffer|MemplanRuntime|Transport|ServerTest|Checkpoint|TensorProto|WireChecksum|Npy|Oom|Fused|Coalesce|Gemm'
+asan_filter='BufferPool|OutputBuffer|TensorBuffer|MemplanRuntime|Transport|ServerTest|Checkpoint|TensorProto|WireChecksum|PayloadRef|RpcEnvelope|WireFuzz|ServerFuzz|Npy|Oom|Fused|Coalesce|Gemm'
 ubsan_filter='Gemm|Gemv|Fft|Reduction|ArrayKernel|KernelSession|Tensor|Shape|DType|Status|GraphCheck|ShapeInference|PlannedOutput|Wire|Optimizer|Fused'
 echo "==== sanitizer filters: every term matches a test ===="
 for filter in "$tsan_filter" "$asan_filter" "$ubsan_filter"; do
@@ -131,7 +131,9 @@ echo "==== tier 2: ThreadSanitizer smoke ===="
 "$repo/scripts/sanitize.sh" thread "$tsan_filter"
 
 # ASan over the zero-copy data path: pooled buffer recycling, payload views
-# holding buffer references across transport/server boundaries, step-arena
+# holding buffer references across transport/server boundaries, envelope
+# parsing that slices payload views out of pooled frames at offsets read off
+# the wire (and the fuzzers feeding it garbage over every protocol), step-arena
 # views handed to planned outputs and the lifetime of fetched outputs past
 # the runtime, the checksum's stripe loop and carried tail, .npy
 # loads read straight into pooled buffers, and the packed GEMM's pack and

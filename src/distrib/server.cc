@@ -87,7 +87,7 @@ std::string RunStepRequest::Serialize() const {
   return out;
 }
 
-Result<RunStepRequest> RunStepRequest::Parse(const std::string& payload) {
+Result<RunStepRequest> RunStepRequest::Parse(std::string_view payload) {
   wire::CodedInput in(payload);
   RunStepRequest req;
   while (!in.AtEnd()) {
@@ -159,33 +159,6 @@ std::string EncodeQueuePayload(const std::string& queue, const Tensor* tensor,
   return out;
 }
 
-Status DecodeQueuePayload(const std::string& payload, std::string* queue,
-                          Tensor* tensor, int64_t* capacity) {
-  wire::CodedInput in(payload);
-  *capacity = 0;
-  while (!in.AtEnd()) {
-    uint32_t field;
-    wire::WireType wt;
-    TFHPC_RETURN_IF_ERROR(in.ReadTag(&field, &wt));
-    if (field == 1) {
-      TFHPC_RETURN_IF_ERROR(in.ReadString(queue));
-    } else if (field == 2 && tensor != nullptr) {
-      const uint8_t* d;
-      size_t s;
-      TFHPC_RETURN_IF_ERROR(in.ReadBytesView(&d, &s));
-      TFHPC_ASSIGN_OR_RETURN(*tensor, wire::ParseTensor(d, s));
-    } else if (field == 3) {
-      uint64_t v;
-      TFHPC_RETURN_IF_ERROR(in.ReadVarint(&v));
-      *capacity = static_cast<int64_t>(v);
-    } else {
-      TFHPC_RETURN_IF_ERROR(in.SkipField(wt));
-    }
-  }
-  if (queue->empty()) return InvalidArgument("queue payload without name");
-  return Status::OK();
-}
-
 namespace {
 
 // Appends a length-delimited tensor message whose content bytes ride as a
@@ -205,24 +178,34 @@ wire::PayloadRef FinishWithTensorView(std::string head, uint32_t field,
                                 tp.view_offset(), tp.view_size());
 }
 
-// Inverse of FinishWithTensorView at the decoder: `in` is positioned just
-// after the tensor field's length varint (`len`); the tensor message is the
-// rest of the head plus the whole view.
-Status ParseTrailingTensorView(const wire::PayloadRef& payload,
-                               wire::CodedInput& in, uint64_t len,
-                               Tensor* tensor) {
+// Decodes the length-delimited tensor field whose tag `in` just read. The
+// decoders walk payload.first_range(): a contiguous payload (inline bytes,
+// or a frame a transport staged) holds the field as ordinary bytes, read in
+// place; a null `tensor` skips it. In a split payload the field is the
+// inverse of FinishWithTensorView: the rest of the head plus the whole view,
+// so it ends the frame and leaves `in` at its end.
+Status ReadTensorField(const wire::PayloadRef& payload, wire::CodedInput& in,
+                       Tensor* tensor) {
+  if (payload.is_contiguous()) {
+    const uint8_t* d;
+    size_t s;
+    TFHPC_RETURN_IF_ERROR(in.ReadBytesView(&d, &s));
+    if (tensor != nullptr) {
+      TFHPC_ASSIGN_OR_RETURN(*tensor, wire::ParseTensor(d, s));
+    }
+    return Status::OK();
+  }
   if (tensor == nullptr) {
     return InvalidArgument("unexpected tensor in payload");
   }
-  if (len != in.remaining() + payload.view_size()) {
+  uint64_t len;
+  TFHPC_RETURN_IF_ERROR(in.ReadVarint(&len));
+  const size_t start = payload.head().size() - in.TakeRest().size();
+  if (len != payload.size() - start) {
     return InvalidArgument("payload: tensor view must terminate the frame");
   }
-  std::string sub_head =
-      payload.head().substr(payload.head().size() - in.remaining());
-  wire::PayloadRef sub =
-      wire::PayloadRef::View(std::move(sub_head), payload.buffer(),
-                             payload.view_offset(), payload.view_size());
-  TFHPC_ASSIGN_OR_RETURN(*tensor, wire::ParseTensorView(sub));
+  TFHPC_ASSIGN_OR_RETURN(*tensor,
+                         wire::ParseTensorView(payload.Slice(start, len)));
   return Status::OK();
 }
 
@@ -242,10 +225,7 @@ wire::PayloadRef EncodeQueuePayloadView(const std::string& queue,
 Status DecodeQueuePayloadView(const wire::PayloadRef& payload,
                               std::string* queue, Tensor* tensor,
                               int64_t* capacity) {
-  if (!payload.is_view()) {
-    return DecodeQueuePayload(payload.head(), queue, tensor, capacity);
-  }
-  wire::CodedInput in(payload.head());
+  wire::CodedInput in(payload.first_range());
   *capacity = 0;
   while (!in.AtEnd()) {
     uint32_t field;
@@ -258,10 +238,7 @@ Status DecodeQueuePayloadView(const wire::PayloadRef& payload,
       TFHPC_RETURN_IF_ERROR(in.ReadVarint(&v));
       *capacity = static_cast<int64_t>(v);
     } else if (field == 2 && wt == wire::WireType::kLengthDelimited) {
-      uint64_t len;
-      TFHPC_RETURN_IF_ERROR(in.ReadVarint(&len));
-      TFHPC_RETURN_IF_ERROR(ParseTrailingTensorView(payload, in, len, tensor));
-      break;
+      TFHPC_RETURN_IF_ERROR(ReadTensorField(payload, in, tensor));
     } else {
       TFHPC_RETURN_IF_ERROR(in.SkipField(wt));
     }
@@ -285,11 +262,7 @@ wire::PayloadRef EncodeVarPayloadView(const std::string& var,
 Status DecodeVarPayloadView(const wire::PayloadRef& payload, std::string* var,
                             Tensor* tensor, bool* accumulate,
                             bool* want_value) {
-  if (!payload.is_view()) {
-    return DecodeVarPayload(payload.head(), var, tensor, accumulate,
-                            want_value);
-  }
-  wire::CodedInput in(payload.head());
+  wire::CodedInput in(payload.first_range());
   *accumulate = false;
   *want_value = false;
   while (!in.AtEnd()) {
@@ -306,10 +279,7 @@ Status DecodeVarPayloadView(const wire::PayloadRef& payload, std::string* var,
       TFHPC_RETURN_IF_ERROR(in.ReadVarint(&v));
       *want_value = v != 0;
     } else if (field == 2 && wt == wire::WireType::kLengthDelimited) {
-      uint64_t len;
-      TFHPC_RETURN_IF_ERROR(in.ReadVarint(&len));
-      TFHPC_RETURN_IF_ERROR(ParseTrailingTensorView(payload, in, len, tensor));
-      break;
+      TFHPC_RETURN_IF_ERROR(ReadTensorField(payload, in, tensor));
     } else {
       TFHPC_RETURN_IF_ERROR(in.SkipField(wt));
     }
@@ -329,37 +299,6 @@ std::string EncodeVarPayload(const std::string& var, const Tensor* tensor,
   return out;
 }
 
-Status DecodeVarPayload(const std::string& payload, std::string* var,
-                        Tensor* tensor, bool* accumulate, bool* want_value) {
-  wire::CodedInput in(payload);
-  *accumulate = false;
-  *want_value = false;
-  while (!in.AtEnd()) {
-    uint32_t field;
-    wire::WireType wt;
-    TFHPC_RETURN_IF_ERROR(in.ReadTag(&field, &wt));
-    uint64_t v = 0;
-    if (field == 1) {
-      TFHPC_RETURN_IF_ERROR(in.ReadString(var));
-    } else if (field == 2 && tensor != nullptr) {
-      const uint8_t* d;
-      size_t s;
-      TFHPC_RETURN_IF_ERROR(in.ReadBytesView(&d, &s));
-      TFHPC_ASSIGN_OR_RETURN(*tensor, wire::ParseTensor(d, s));
-    } else if (field == 3) {
-      TFHPC_RETURN_IF_ERROR(in.ReadVarint(&v));
-      *accumulate = v != 0;
-    } else if (field == 4) {
-      TFHPC_RETURN_IF_ERROR(in.ReadVarint(&v));
-      *want_value = v != 0;
-    } else {
-      TFHPC_RETURN_IF_ERROR(in.SkipField(wt));
-    }
-  }
-  if (var->empty()) return InvalidArgument("var payload without name");
-  return Status::OK();
-}
-
 std::string EncodeTensorList(const std::vector<Tensor>& tensors) {
   std::string out;
   wire::CodedOutput co(&out);
@@ -367,7 +306,7 @@ std::string EncodeTensorList(const std::vector<Tensor>& tensors) {
   return out;
 }
 
-Result<std::vector<Tensor>> DecodeTensorList(const std::string& payload) {
+Result<std::vector<Tensor>> DecodeTensorList(std::string_view payload) {
   wire::CodedInput in(payload);
   std::vector<Tensor> tensors;
   while (!in.AtEnd()) {
@@ -401,7 +340,7 @@ std::string EncodeNamedTensors(const std::map<std::string, Tensor>& vars) {
 }
 
 Result<std::map<std::string, Tensor>> DecodeNamedTensors(
-    const std::string& payload) {
+    std::string_view payload) {
   wire::CodedInput in(payload);
   std::map<std::string, Tensor> vars;
   while (!in.AtEnd()) {
@@ -464,9 +403,7 @@ wire::PayloadRef EncodePackedSendPayload(const std::vector<std::string>& keys,
 Status DecodePackedSendPayload(const wire::PayloadRef& payload,
                                std::vector<std::string>* keys,
                                std::vector<Tensor>* tensors) {
-  // For non-view payloads (a transport that flattened the frame) head() is
-  // the whole frame and field 3 decodes as ordinary inline bytes.
-  wire::CodedInput in(payload.head());
+  wire::CodedInput in(payload.first_range());
   std::string last_key;
   Tensor last_tensor;
   while (!in.AtEnd()) {
@@ -503,17 +440,7 @@ Status DecodePackedSendPayload(const wire::PayloadRef& payload,
     } else if (field == 2) {
       TFHPC_RETURN_IF_ERROR(in.ReadString(&last_key));
     } else if (field == 3 && wt == wire::WireType::kLengthDelimited) {
-      if (payload.is_view()) {
-        uint64_t len;
-        TFHPC_RETURN_IF_ERROR(in.ReadVarint(&len));
-        TFHPC_RETURN_IF_ERROR(
-            ParseTrailingTensorView(payload, in, len, &last_tensor));
-        break;
-      }
-      const uint8_t* d;
-      size_t s;
-      TFHPC_RETURN_IF_ERROR(in.ReadBytesView(&d, &s));
-      TFHPC_ASSIGN_OR_RETURN(last_tensor, wire::ParseTensor(d, s));
+      TFHPC_RETURN_IF_ERROR(ReadTensorField(payload, in, &last_tensor));
     } else {
       TFHPC_RETURN_IF_ERROR(in.SkipField(wt));
     }
@@ -744,9 +671,9 @@ Result<wire::PayloadRef> Server::Dispatch(const std::string& method,
                                           const wire::PayloadRef& payload,
                                           uint64_t client_id,
                                           CancellationToken* token) {
-  // Methods that parse with the classic string codecs flatten here; a view
-  // payload only ever reaches them over gRPC (already flat) or from legacy
-  // senders, so the tensor-bearing hot paths below never pay this copy.
+  // Methods that parse with the classic string codecs read a contiguous
+  // payload in place and flatten only a split one, which no sender builds
+  // for them; the tensor-bearing methods decode either shape in place.
   std::string flat_scratch;
 
   if (method == "Ping") return payload;
@@ -917,10 +844,11 @@ Result<wire::PayloadRef> Server::Dispatch(const std::string& method,
     // in a queue Enqueue/Dequeue — including barrier waits parked inside
     // remote Dequeue handlers. Queues stay open: they are shared across
     // steps and tenants, so only the *waiters* fail, with kCancelled.
-    const Status reason =
-        Cancelled("step aborted" +
-                  (payload.empty() ? ""
-                                 : ": " + payload.Contiguous(&flat_scratch)));
+    const Status reason = Cancelled(
+        "step aborted" +
+        (payload.empty()
+             ? ""
+             : ": " + std::string(payload.Contiguous(&flat_scratch))));
     resources_.rendezvous().Abort(reason);
     resources_.CancelAllQueueWaiters(reason);
     return wire::PayloadRef();

@@ -36,6 +36,7 @@
 
 #include <list>
 #include <memory>
+#include <string_view>
 
 #include "distrib/cluster_spec.h"
 #include "distrib/retry.h"
@@ -263,23 +264,19 @@ struct RunStepRequest {
   uint64_t step_handle = 0;
 
   std::string Serialize() const;
-  static Result<RunStepRequest> Parse(const std::string& payload);
+  static Result<RunStepRequest> Parse(std::string_view payload);
 };
 
 std::string EncodeQueuePayload(const std::string& queue, const Tensor* tensor,
                                int64_t capacity);
-Status DecodeQueuePayload(const std::string& payload, std::string* queue,
-                          Tensor* tensor, int64_t* capacity);
-
 std::string EncodeVarPayload(const std::string& var, const Tensor* tensor,
                              bool accumulate, bool want_value);
-Status DecodeVarPayload(const std::string& payload, std::string* var,
-                        Tensor* tensor, bool* accumulate, bool* want_value);
 
 // Zero-copy variants: the tensor message is framed last in the payload head
 // and its content bytes ride as a buffer view (see wire::SerializeTensorView).
-// The decoders accept both representations — a view payload (RDMA/rendezvous
-// fast path) or classic inline bytes (gRPC delivery, legacy senders).
+// The decoders accept every representation and never copy the frame: a
+// split view payload (RDMA/rendezvous fast path, MPI's staged content), or
+// contiguous bytes read in place (a frame staged by gRPC, inline bytes).
 wire::PayloadRef EncodeQueuePayloadView(const std::string& queue,
                                         const Tensor* tensor,
                                         int64_t capacity);
@@ -295,11 +292,11 @@ Status DecodeVarPayloadView(const wire::PayloadRef& payload, std::string* var,
                             bool* want_value);
 
 std::string EncodeTensorList(const std::vector<Tensor>& tensors);
-Result<std::vector<Tensor>> DecodeTensorList(const std::string& payload);
+Result<std::vector<Tensor>> DecodeTensorList(std::string_view payload);
 
 // name -> tensor maps (VarSnapshot/VarRestore payloads).
 std::string EncodeNamedTensors(const std::map<std::string, Tensor>& vars);
 Result<std::map<std::string, Tensor>> DecodeNamedTensors(
-    const std::string& payload);
+    std::string_view payload);
 
 }  // namespace tfhpc::distrib

@@ -23,6 +23,28 @@ wire::RpcEnvelope HeaderOf(const wire::RpcEnvelope& e) {
   return h;
 }
 
+// One staging copy: the payload's bytes land in a fresh pooled block and
+// are delivered as a view of it, which the receiver reads in place. The
+// pool keeps the block mapped between calls, so a repeated push does not
+// fault its staging pages in again.
+wire::PayloadRef Stage(const wire::PayloadRef& p) {
+  if (p.empty()) return wire::PayloadRef();
+  std::shared_ptr<Buffer> block =
+      Buffer::Allocate(p.size(), nullptr, ZeroInit::kNo);
+  p.CopyTo(block->data());
+  return wire::PayloadRef::View("", std::move(block), 0, p.size());
+}
+
+// The MPI/RDMA side channel: the header fields alone are framed and parsed
+// back, and the payload moves beside them.
+Result<wire::RpcEnvelope> ExchangeHeader(const wire::RpcEnvelope& request,
+                                         TransportStats& st) {
+  const wire::PayloadRef frame = HeaderOf(request).Serialize();
+  st.bytes_serialized.fetch_add(static_cast<int64_t>(frame.size()),
+                                std::memory_order_relaxed);
+  return wire::RpcEnvelope::Parse(frame);
+}
+
 }  // namespace
 
 const char* WireProtocolName(WireProtocol p) {
@@ -250,38 +272,40 @@ Result<wire::RpcEnvelope> InProcessRouter::Call(
   wire::RpcEnvelope delivered;
   switch (proto) {
     case WireProtocol::kGrpc: {
-      // Full protobuf round trip of the envelope.
-      const std::string frame = request.Serialize();
+      // Full protobuf round trip of the envelope: serialize into one frame,
+      // the TCP copy into a second block, parse there. The delivered
+      // payload is a sub-view of the received frame.
+      const wire::PayloadRef frame = request.Serialize();
       st.bytes_serialized.fetch_add(static_cast<int64_t>(frame.size()),
                                     std::memory_order_relaxed);
-      const std::string wire_buf(frame);  // the TCP copy
-      st.bytes_copied.fetch_add(static_cast<int64_t>(wire_buf.size()),
+      const wire::PayloadRef received = Stage(frame);
+      st.bytes_copied.fetch_add(static_cast<int64_t>(received.size()),
                                 std::memory_order_relaxed);
-      TFHPC_ASSIGN_OR_RETURN(delivered, wire::RpcEnvelope::Parse(wire_buf));
+      TFHPC_ASSIGN_OR_RETURN(delivered, wire::RpcEnvelope::Parse(received));
       break;
     }
     case WireProtocol::kMpi: {
       // Header serialized; payload staged (send buffer) then wired.
-      const std::string header_frame = HeaderOf(request).Serialize();
-      st.bytes_serialized.fetch_add(
-          static_cast<int64_t>(header_frame.size()), std::memory_order_relaxed);
-      TFHPC_ASSIGN_OR_RETURN(delivered, wire::RpcEnvelope::Parse(header_frame));
+      TFHPC_ASSIGN_OR_RETURN(delivered, ExchangeHeader(request, st));
       if (request.payload.is_view()) {
         // Registered (pinned) tensor memory: MPI can send straight from the
         // tensor buffer, so the payload is staged exactly once — into the
-        // receiver's buffer.
-        std::string recv_buf = request.payload.Flatten();
-        st.bytes_copied.fetch_add(static_cast<int64_t>(recv_buf.size()),
+        // receiver's buffer. The content gets a block of its own size, which
+        // the receiver adopts as the tensor's buffer.
+        const wire::PayloadRef content = Stage(request.payload.Slice(
+            request.payload.head().size(), request.payload.view_size()));
+        st.bytes_copied.fetch_add(static_cast<int64_t>(request.payload.size()),
                                   std::memory_order_relaxed);
-        delivered.payload = std::move(recv_buf);
+        delivered.payload =
+            wire::PayloadRef::View(request.payload.head(), content.buffer(), 0,
+                                   content.size());
       } else {
         // Unpinned inline bytes: classic host send-buffer stage, then the
         // wire copy into the receiver's buffer (2 copies).
-        const std::string staging(request.payload.head());
-        std::string recv_buf(staging);
+        const wire::PayloadRef staging = Stage(request.payload);
+        delivered.payload = Stage(staging);
         st.bytes_copied.fetch_add(2 * static_cast<int64_t>(staging.size()),
                                   std::memory_order_relaxed);
-        delivered.payload = std::move(recv_buf);
       }
       break;
     }
@@ -289,10 +313,7 @@ Result<wire::RpcEnvelope> InProcessRouter::Call(
       // Only the tiny header is exchanged via the side channel; the payload
       // either crosses by buffer reference (view: true zero-copy) or lands
       // in the remote buffer in one registered-buffer write.
-      const std::string header_frame = HeaderOf(request).Serialize();
-      st.bytes_serialized.fetch_add(
-          static_cast<int64_t>(header_frame.size()), std::memory_order_relaxed);
-      TFHPC_ASSIGN_OR_RETURN(delivered, wire::RpcEnvelope::Parse(header_frame));
+      TFHPC_ASSIGN_OR_RETURN(delivered, ExchangeHeader(request, st));
       if (request.payload.is_view()) {
         // One-sided RDMA write of already-registered memory: the receiver
         // gets a reference to the same bytes; nothing is serialized or
@@ -303,10 +324,10 @@ Result<wire::RpcEnvelope> InProcessRouter::Call(
             std::memory_order_relaxed);
         delivered.payload = request.payload;
       } else {
-        std::string remote_buf(request.payload.head());
-        st.bytes_copied.fetch_add(static_cast<int64_t>(remote_buf.size()),
-                                  std::memory_order_relaxed);
-        delivered.payload = std::move(remote_buf);
+        delivered.payload = Stage(request.payload);
+        st.bytes_copied.fetch_add(
+            static_cast<int64_t>(delivered.payload.size()),
+            std::memory_order_relaxed);
       }
       break;
     }

@@ -16,7 +16,10 @@
 //           buffer (1 copy, no serialization of the payload).
 //
 // TransportStats counts those bytes so tests can verify the staging
-// behaviour; virtual-time costs are charged by the DES, not here.
+// behaviour; virtual-time costs are charged by the DES, not here. Every
+// staging copy lands in a pooled Buffer, and the server receives the
+// payload as a view into it (DESIGN.md §9): the transport copies no byte
+// it does not count, and a warm call faults in no staging pages.
 //
 // The router is also the fault-injection point for the fault-tolerance
 // layer: a seeded ChaosConfig schedule can drop, delay, duplicate or

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/status.h"
@@ -76,7 +77,7 @@ class CodedInput {
  public:
   CodedInput(const void* data, size_t size)
       : p_(static_cast<const uint8_t*>(data)), end_(p_ + size) {}
-  explicit CodedInput(const std::string& s) : CodedInput(s.data(), s.size()) {}
+  explicit CodedInput(std::string_view s) : CodedInput(s.data(), s.size()) {}
 
   bool AtEnd() const { return p_ == end_; }
   size_t remaining() const { return static_cast<size_t>(end_ - p_); }
@@ -93,6 +94,13 @@ class CodedInput {
   Status ReadString(std::string* v);
   // Skips one field of the given wire type (unknown-field tolerance).
   Status SkipField(WireType type);
+  // Consumes and returns every unread byte.
+  std::string_view TakeRest() {
+    const std::string_view rest(reinterpret_cast<const char*>(p_),
+                                remaining());
+    p_ = end_;
+    return rest;
+  }
 
  private:
   const uint8_t* p_;

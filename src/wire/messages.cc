@@ -1,5 +1,7 @@
 #include "wire/messages.h"
 
+#include <cstring>
+
 #include "wire/coded.h"
 
 namespace tfhpc::wire {
@@ -21,97 +23,25 @@ std::string SerializeTensor(const Tensor& t) {
   return out;
 }
 
-Result<Tensor> ParseTensor(const std::string& data) {
-  return ParseTensor(data.data(), data.size());
+namespace {
+
+// Multiplies *acc by f (both >= 0); false when the product overflows int64.
+bool MulChecked(int64_t* acc, int64_t f) {
+  return !__builtin_mul_overflow(*acc, f, acc);
 }
 
-Result<Tensor> ParseTensor(const void* data, size_t size) {
-  CodedInput in(data, size);
+// The TensorProto parser behind ParseTensor and ParseTensorView. `fields`
+// holds the encoded fields. With `view` set, the payload is split: the
+// content field's tag and length end `fields` and its bytes are the view.
+Result<Tensor> ParseTensorFields(std::string_view fields,
+                                 const PayloadRef* view) {
+  CodedInput in(fields);
   DType dtype = DType::kInvalid;
   std::vector<int64_t> dims;
   const uint8_t* content = nullptr;
   size_t content_size = 0;
+  bool has_content = false;
   bool is_meta = false;
-  while (!in.AtEnd()) {
-    uint32_t field;
-    WireType wt;
-    TFHPC_RETURN_IF_ERROR(in.ReadTag(&field, &wt));
-    switch (field) {
-      case 1: {
-        uint64_t v;
-        TFHPC_RETURN_IF_ERROR(in.ReadVarint(&v));
-        if (!IsKnownDType(v)) {
-          return InvalidArgument("TensorProto: unknown dtype " +
-                                 std::to_string(v));
-        }
-        dtype = static_cast<DType>(v);
-        break;
-      }
-      case 2: {
-        uint64_t v;
-        TFHPC_RETURN_IF_ERROR(in.ReadVarint(&v));
-        // Reject absurd dims before Shape::num_elements() can overflow.
-        if (v > (uint64_t{1} << 48)) {
-          return InvalidArgument("TensorProto: implausible dim " +
-                                 std::to_string(v));
-        }
-        dims.push_back(static_cast<int64_t>(v));
-        break;
-      }
-      case 3:
-        TFHPC_RETURN_IF_ERROR(in.ReadBytesView(&content, &content_size));
-        break;
-      case 4: {
-        uint64_t v;
-        TFHPC_RETURN_IF_ERROR(in.ReadVarint(&v));
-        is_meta = v != 0;
-        break;
-      }
-      default:
-        TFHPC_RETURN_IF_ERROR(in.SkipField(wt));
-    }
-  }
-  if (dtype == DType::kInvalid) return InvalidArgument("TensorProto: no dtype");
-  Shape shape(std::move(dims));
-  if (is_meta) return Tensor::Meta(dtype, std::move(shape));
-  // The content overwrites every element, so skip the zero-fill and let the
-  // pool hand back a recycled block.
-  Tensor t = Tensor::Uninitialized(dtype, std::move(shape));
-  if (static_cast<size_t>(t.bytes()) != content_size) {
-    return InvalidArgument("TensorProto: content size " +
-                           std::to_string(content_size) + " != expected " +
-                           std::to_string(t.bytes()));
-  }
-  if (content_size > 0) std::memcpy(t.raw_data(), content, content_size);
-  return t;
-}
-
-PayloadRef SerializeTensorView(const Tensor& t) {
-  std::string head;
-  CodedOutput co(&head);
-  co.WriteUInt64(1, static_cast<uint64_t>(t.dtype()));
-  for (int64_t d : t.shape().dims()) {
-    co.WriteUInt64(2, static_cast<uint64_t>(d));
-  }
-  if (t.is_meta() || !t.valid()) {
-    if (t.is_meta()) co.WriteBool(4, true);
-    return PayloadRef(std::move(head));
-  }
-  // Frame field 3 (tag + length) in the head; the content bytes stay in the
-  // tensor's buffer and ride along as a view.
-  const size_t content = static_cast<size_t>(t.bytes());
-  co.WriteTag(3, WireType::kLengthDelimited);
-  co.WriteVarint(content);
-  return PayloadRef::View(std::move(head), t.buffer(), 0, content);
-}
-
-Result<Tensor> ParseTensorView(const PayloadRef& p) {
-  if (!p.is_view()) return ParseTensor(p.head().data(), p.head().size());
-  CodedInput in(p.head());
-  DType dtype = DType::kInvalid;
-  std::vector<int64_t> dims;
-  bool is_meta = false;
-  bool content_is_view = false;
   while (!in.AtEnd()) {
     uint32_t field;
     WireType wt;
@@ -138,17 +68,23 @@ Result<Tensor> ParseTensorView(const PayloadRef& p) {
         break;
       }
       case 3: {
-        // In a view payload the content length is framed in the head and the
-        // bytes themselves are the view. Anything else is malformed.
         if (wt != WireType::kLengthDelimited) {
           return InvalidArgument("TensorProto: bad wire type for content");
         }
-        uint64_t len;
-        TFHPC_RETURN_IF_ERROR(in.ReadVarint(&len));
-        if (len != p.view_size() || !in.AtEnd()) {
-          return InvalidArgument("TensorProto: view content length mismatch");
+        if (view == nullptr) {
+          TFHPC_RETURN_IF_ERROR(in.ReadBytesView(&content, &content_size));
+        } else {
+          // The content's length is framed here and its bytes are the view,
+          // so this field must end the head.
+          uint64_t len;
+          TFHPC_RETURN_IF_ERROR(in.ReadVarint(&len));
+          if (len != view->view_size() || !in.AtEnd()) {
+            return InvalidArgument("TensorProto: view content length mismatch");
+          }
+          content = view->view_data();
+          content_size = view->view_size();
         }
-        content_is_view = true;
+        has_content = true;
         break;
       }
       case 4: {
@@ -162,29 +98,74 @@ Result<Tensor> ParseTensorView(const PayloadRef& p) {
     }
   }
   if (dtype == DType::kInvalid) return InvalidArgument("TensorProto: no dtype");
-  Shape shape(std::move(dims));
-  if (is_meta) return Tensor::Meta(dtype, std::move(shape));
-  if (!content_is_view) {
+  // Size the tensor before building it: Shape::num_elements() aborts on an
+  // overflowing prefix product, and a byte size the content cannot fill
+  // must not reach the allocator.
+  int64_t bytes = 1;
+  for (int64_t d : dims) {
+    if (!MulChecked(&bytes, d)) {
+      return InvalidArgument("TensorProto: element count overflows");
+    }
+  }
+  if (!MulChecked(&bytes, static_cast<int64_t>(DTypeSize(dtype)))) {
+    return InvalidArgument("TensorProto: byte size overflows");
+  }
+  if (is_meta) return Tensor::Meta(dtype, Shape(std::move(dims)));
+  if (view != nullptr && !has_content) {
     return InvalidArgument("TensorProto: view payload without content field");
   }
-  const int64_t expect =
-      shape.num_elements() * static_cast<int64_t>(DTypeSize(dtype));
-  if (static_cast<size_t>(expect) != p.view_size()) {
+  if (static_cast<uint64_t>(bytes) != content_size) {
     return InvalidArgument("TensorProto: content size " +
-                           std::to_string(p.view_size()) + " != expected " +
-                           std::to_string(expect));
+                           std::to_string(content_size) + " != expected " +
+                           std::to_string(bytes));
   }
+  Shape shape(std::move(dims));
   // True zero-copy: adopt the buffer when the view spans it exactly from the
-  // start. Sub-views (offset into a larger frame) copy once into a pooled,
-  // uninitialized buffer.
-  if (p.view_offset() == 0 && p.buffer()->size() == p.view_size()) {
-    return Tensor::FromBuffer(dtype, std::move(shape), p.buffer());
+  // start. Sub-views (offset into a larger frame) copy once.
+  if (view != nullptr && view->view_offset() == 0 &&
+      view->buffer()->size() == view->view_size()) {
+    return Tensor::FromBuffer(dtype, std::move(shape), view->buffer());
   }
+  // The content overwrites every element, so skip the zero-fill and let the
+  // pool hand back a recycled block.
   Tensor t = Tensor::Uninitialized(dtype, std::move(shape));
-  if (p.view_size() > 0) {
-    std::memcpy(t.raw_data(), p.view_data(), p.view_size());
-  }
+  if (content_size > 0) std::memcpy(t.raw_data(), content, content_size);
   return t;
+}
+
+}  // namespace
+
+Result<Tensor> ParseTensor(const std::string& data) {
+  return ParseTensor(data.data(), data.size());
+}
+
+Result<Tensor> ParseTensor(const void* data, size_t size) {
+  return ParseTensorFields(
+      std::string_view(static_cast<const char*>(data), size), nullptr);
+}
+
+PayloadRef SerializeTensorView(const Tensor& t) {
+  std::string head;
+  CodedOutput co(&head);
+  co.WriteUInt64(1, static_cast<uint64_t>(t.dtype()));
+  for (int64_t d : t.shape().dims()) {
+    co.WriteUInt64(2, static_cast<uint64_t>(d));
+  }
+  if (t.is_meta() || !t.valid()) {
+    if (t.is_meta()) co.WriteBool(4, true);
+    return PayloadRef(std::move(head));
+  }
+  // Frame field 3 (tag + length) in the head; the content bytes stay in the
+  // tensor's buffer and ride along as a view.
+  const size_t content = static_cast<size_t>(t.bytes());
+  co.WriteTag(3, WireType::kLengthDelimited);
+  co.WriteVarint(content);
+  return PayloadRef::View(std::move(head), t.buffer(), 0, content);
+}
+
+Result<Tensor> ParseTensorView(const PayloadRef& p) {
+  if (p.is_contiguous()) return ParseTensorFields(p.first_range(), nullptr);
+  return ParseTensorFields(p.head(), &p);
 }
 
 // ---- AttrValue --------------------------------------------------------------
@@ -417,7 +398,7 @@ std::string GraphDef::Serialize() const {
   return out;
 }
 
-Result<GraphDef> GraphDef::Parse(const std::string& data) {
+Result<GraphDef> GraphDef::Parse(std::string_view data) {
   CodedInput in(data);
   GraphDef g;
   while (!in.AtEnd()) {
@@ -515,7 +496,7 @@ std::string RegisterStepRequest::Serialize() const {
 }
 
 Result<RegisterStepRequest> RegisterStepRequest::Parse(
-    const std::string& data) {
+    std::string_view data) {
   CodedInput in(data);
   RegisterStepRequest req;
   while (!in.AtEnd()) {
@@ -543,7 +524,7 @@ std::string RegisterStepResponse::Serialize() const {
 }
 
 Result<RegisterStepResponse> RegisterStepResponse::Parse(
-    const std::string& data) {
+    std::string_view data) {
   CodedInput in(data);
   RegisterStepResponse resp;
   while (!in.AtEnd()) {
@@ -567,38 +548,41 @@ Result<RegisterStepResponse> RegisterStepResponse::Parse(
 
 // ---- RpcEnvelope --------------------------------------------------------------
 
-std::string RpcEnvelope::Serialize() const {
-  // Reserve the whole frame up front: fields written after a large payload
-  // would otherwise grow the string and copy the payload a second time.
-  // Each of the 9 fields costs at most a 1-byte tag and a 10-byte varint
-  // besides its bytes.
-  std::string out;
-  out.reserve(method.size() + payload.size() + status_msg.size() + 9 * 11);
-  CodedOutput co(&out);
-  co.WriteString(1, method);
-  co.WriteUInt64(2, request_id);
-  // Serialization is the flattening point: a view payload gets copied here,
-  // which is exactly what the gRPC staging model charges for.
-  if (payload.is_view()) {
-    co.WriteTag(3, WireType::kLengthDelimited);
-    co.WriteVarint(payload.size());
-    out.append(payload.head());
-    out.append(reinterpret_cast<const char*>(payload.view_data()),
-               payload.view_size());
-  } else {
-    co.WriteString(3, payload.head());
+PayloadRef RpcEnvelope::Serialize() const {
+  // Fields 1-3 up to the payload's length prefix, then the payload, then
+  // the optional fields 4-9.
+  std::string lead;
+  CodedOutput lo(&lead);
+  lo.WriteString(1, method);
+  lo.WriteUInt64(2, request_id);
+  lo.WriteTag(3, WireType::kLengthDelimited);
+  lo.WriteVarint(payload.size());
+  std::string tail;
+  CodedOutput to(&tail);
+  if (status_code != 0) to.WriteInt64(4, status_code);
+  if (!status_msg.empty()) to.WriteString(5, status_msg);
+  if (client_id != 0) to.WriteUInt64(6, client_id);
+  if (checksum != 0) to.WriteUInt64(7, checksum);
+  if (deadline_ns != 0) to.WriteUInt64(8, deadline_ns);
+  if (transient) to.WriteUInt64(9, 1);
+
+  const size_t n = lead.size() + payload.size() + tail.size();
+  std::shared_ptr<Buffer> frame = Buffer::Allocate(n, nullptr, ZeroInit::kNo);
+  char* out = static_cast<char*>(frame->data());
+  std::memcpy(out, lead.data(), lead.size());
+  payload.CopyTo(out + lead.size());
+  if (!tail.empty()) {
+    std::memcpy(out + lead.size() + payload.size(), tail.data(), tail.size());
   }
-  if (status_code != 0) co.WriteInt64(4, status_code);
-  if (!status_msg.empty()) co.WriteString(5, status_msg);
-  if (client_id != 0) co.WriteUInt64(6, client_id);
-  if (checksum != 0) co.WriteUInt64(7, checksum);
-  if (deadline_ns != 0) co.WriteUInt64(8, deadline_ns);
-  if (transient) co.WriteUInt64(9, 1);
-  return out;
+  return PayloadRef::View("", std::move(frame), 0, n);
 }
 
-Result<RpcEnvelope> RpcEnvelope::Parse(const std::string& data) {
-  CodedInput in(data);
+Result<RpcEnvelope> RpcEnvelope::Parse(const PayloadRef& frame) {
+  if (!frame.is_contiguous()) {
+    return InvalidArgument("RpcEnvelope: frame is not one byte range");
+  }
+  const std::string_view bytes = frame.first_range();
+  CodedInput in(bytes);
   RpcEnvelope e;
   while (!in.AtEnd()) {
     uint32_t field;
@@ -614,9 +598,12 @@ Result<RpcEnvelope> RpcEnvelope::Parse(const std::string& data) {
         e.request_id = v;
         break;
       case 3: {
-        std::string s;
-        TFHPC_RETURN_IF_ERROR(in.ReadString(&s));
-        e.payload = std::move(s);
+        const uint8_t* d;
+        size_t s;
+        TFHPC_RETURN_IF_ERROR(in.ReadBytesView(&d, &s));
+        e.payload = frame.Slice(
+            static_cast<size_t>(reinterpret_cast<const char*>(d) - bytes.data()),
+            s);
         break;
       }
       case 4:

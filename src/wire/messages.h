@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/status.h"
@@ -20,6 +21,12 @@ namespace tfhpc::wire {
 // ---- TensorProto ----------------------------------------------------------
 // field 1: dtype (varint)      field 2: dims (repeated varint)
 // field 3: content (bytes)     field 4: is_meta (bool)
+//
+// The parsers check the dims before building anything: an element count or
+// byte size that overflows int64, or a byte size that differs from the
+// content length, is kInvalidArgument (a meta tensor has no content, so only
+// overflow rejects it). A peer cannot make the receiver abort or allocate
+// more than it sent.
 std::string SerializeTensor(const Tensor& t);
 Result<Tensor> ParseTensor(const std::string& data);
 Result<Tensor> ParseTensor(const void* data, size_t size);
@@ -30,7 +37,8 @@ Result<Tensor> ParseTensor(const void* data, size_t size);
 // are never copied. Flatten()ing the result reproduces SerializeTensor()
 // exactly. ParseTensorView adopts the view's buffer directly when the
 // content spans the whole buffer (0 copies); otherwise it copies once into a
-// pool-allocated, uninitialized buffer.
+// pool-allocated, uninitialized buffer. A contiguous payload is parsed in
+// place, like ParseTensor.
 PayloadRef SerializeTensorView(const Tensor& t);
 Result<Tensor> ParseTensorView(const PayloadRef& p);
 inline Result<Tensor> ParseTensor(const PayloadRef& p) {
@@ -80,7 +88,7 @@ struct GraphDef {
   int64_t version = 1;         // field 2
 
   std::string Serialize() const;
-  static Result<GraphDef> Parse(const std::string& data);
+  static Result<GraphDef> Parse(std::string_view data);
 };
 
 // ---- ClusterDef -------------------------------------------------------------
@@ -112,7 +120,7 @@ struct RegisterStepRequest {
   std::vector<std::string> targets;  // field 3
 
   std::string Serialize() const;
-  static Result<RegisterStepRequest> Parse(const std::string& data);
+  static Result<RegisterStepRequest> Parse(std::string_view data);
 };
 
 struct RegisterStepResponse {
@@ -120,11 +128,13 @@ struct RegisterStepResponse {
   int64_t graph_version = 0;  // field 2: worker graph version compiled against
 
   std::string Serialize() const;
-  static Result<RegisterStepResponse> Parse(const std::string& data);
+  static Result<RegisterStepResponse> Parse(std::string_view data);
 };
 
 // ---- RPC envelope ------------------------------------------------------------
-// Framing for the in-process transports: one envelope per message.
+// Framing for the in-process transports: one envelope per message. The gRPC
+// path frames the whole envelope; MPI and RDMA frame the header fields alone
+// and move the payload beside the frame.
 struct RpcEnvelope {
   std::string method;    // field 1 (e.g. "RecvTensor", "Enqueue")
   uint64_t request_id = 0;  // field 2
@@ -152,8 +162,15 @@ struct RpcEnvelope {
   // server rewrites the status message.
   bool transient = false;  // field 9
 
-  std::string Serialize() const;
-  static Result<RpcEnvelope> Parse(const std::string& data);
+  // The frame in one pooled block, returned as a view of it. Its size is
+  // known before any byte is written, so the payload is copied once, into
+  // its final place; a view payload's buffer bytes are copied there too,
+  // which is the flattening the gRPC staging model charges for.
+  PayloadRef Serialize() const;
+  // Parses a contiguous frame (a split one is kInvalidArgument). The payload
+  // is frame.Slice() of its field: a sub-view of the frame's block, not a
+  // copy, when the frame is a view; inline bytes when the frame is.
+  static Result<RpcEnvelope> Parse(const PayloadRef& frame);
 };
 
 }  // namespace tfhpc::wire

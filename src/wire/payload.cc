@@ -1,5 +1,6 @@
 #include "wire/payload.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "core/logging.h"
@@ -128,6 +129,13 @@ PayloadRef PayloadRef::View(std::string head, std::shared_ptr<Buffer> buffer,
   return p;
 }
 
+std::string_view PayloadRef::first_range() const {
+  if (head_.empty() && is_view()) {
+    return std::string_view(reinterpret_cast<const char*>(view_data()), len_);
+  }
+  return head_;
+}
+
 std::string PayloadRef::Flatten() const {
   std::string out;
   out.reserve(size());
@@ -136,6 +144,30 @@ std::string PayloadRef::Flatten() const {
     out.append(reinterpret_cast<const char*>(view_data()), len_);
   }
   return out;
+}
+
+void PayloadRef::CopyTo(void* dst) const {
+  char* out = static_cast<char*>(dst);
+  if (!head_.empty()) std::memcpy(out, head_.data(), head_.size());
+  if (is_view()) std::memcpy(out + head_.size(), view_data(), len_);
+}
+
+std::string_view PayloadRef::Contiguous(std::string* scratch) const {
+  if (is_contiguous()) return first_range();
+  *scratch = Flatten();
+  return *scratch;
+}
+
+PayloadRef PayloadRef::Slice(size_t offset, size_t len) const {
+  TFHPC_CHECK(offset <= size() && len <= size() - offset)
+      << "payload slice [" << offset << ", +" << len << ") out of "
+      << size() << " bytes";
+  const size_t head_from = std::min(offset, head_.size());
+  const size_t head_len = std::min(len, head_.size() - head_from);
+  std::string head = head_.substr(head_from, head_len);
+  if (head_len == len) return PayloadRef(std::move(head));
+  const size_t view_from = offset + head_len - head_.size();
+  return View(std::move(head), buffer_, offset_ + view_from, len - head_len);
 }
 
 void PayloadRef::Detach() {
@@ -155,9 +187,7 @@ void PayloadRef::CorruptByteForTest(size_t index, uint8_t mask) {
 bool PayloadRef::operator==(const PayloadRef& o) const {
   if (size() != o.size()) return false;
   std::string lhs_scratch, rhs_scratch;
-  const std::string& a = Contiguous(&lhs_scratch);
-  const std::string& b = o.Contiguous(&rhs_scratch);
-  return a == b;
+  return Contiguous(&lhs_scratch) == o.Contiguous(&rhs_scratch);
 }
 
 uint64_t PayloadChecksum(const PayloadRef& p) {

@@ -1,10 +1,12 @@
 // PayloadRef: a cord-like payload for RPC envelopes. A payload is either
 // inline bytes (an owned std::string, as before) or a *view* — a small inline
 // head (serialized header fields) followed by a reference into an existing
-// tensor Buffer (the content bytes). Views let the in-process transports
-// model protocol-faithful staging: RDMA hands the buffer reference across
-// without ever serializing the content, MPI stages it exactly once, and gRPC
-// flattens (serializes) as real gRPC must.
+// Buffer. Views let the in-process transports model protocol-faithful
+// staging: RDMA hands a tensor's buffer reference across without ever
+// serializing the content, MPI stages it exactly once, and gRPC flattens
+// (serializes) as real gRPC must. A view with an empty head is one byte
+// range inside a buffer: that is how a transport delivers a payload it
+// staged, so the receiver reads the staged bytes in place.
 //
 // Invariant: Flatten() returns exactly the bytes the classic inline encoding
 // would have produced, so any consumer may flatten and every legacy parser
@@ -15,6 +17,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "core/buffer.h"
 
@@ -58,16 +61,26 @@ class PayloadRef {
     return static_cast<const uint8_t*>(buffer_->data()) + offset_;
   }
 
+  // True when the bytes are one range: inline, or a view with an empty
+  // head. Otherwise the payload is split: a non-empty head, then the view.
+  bool is_contiguous() const { return !is_view() || head_.empty(); }
+  // The leading contiguous bytes: all of them when is_contiguous(), else
+  // the head (the view follows it). Never copies.
+  std::string_view first_range() const;
+
   // Full byte sequence (head + view), always a fresh copy.
   std::string Flatten() const;
+  // Writes the full byte sequence to dst[0, size()).
+  void CopyTo(void* dst) const;
 
-  // Contiguous bytes without copying when inline: returns head_ directly for
-  // inline payloads, otherwise flattens into *scratch and returns it.
-  const std::string& Contiguous(std::string* scratch) const {
-    if (!is_view()) return head_;
-    *scratch = Flatten();
-    return *scratch;
-  }
+  // The bytes without copying when contiguous; a split payload is flattened
+  // into *scratch. The result is valid while this payload and *scratch are.
+  std::string_view Contiguous(std::string* scratch) const;
+
+  // The bytes [offset, offset + len) as a payload of the same kind: what
+  // lies in the view stays a view of the same buffer (no copy), what lies in
+  // the head becomes the new head.
+  PayloadRef Slice(size_t offset, size_t len) const;
 
   // Converts a view into an equivalent inline payload (copies once). Used
   // before any in-place mutation so the referenced tensor buffer — live on

@@ -2,6 +2,7 @@
 // staging semantics), servers (queue/variable/graph services), client
 // proxies, and the paper's parameter-server + reducer patterns end to end.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <thread>
 
@@ -9,6 +10,7 @@
 #include "distrib/client.h"
 #include "distrib/server.h"
 #include "graph/ops.h"
+#include "wire/coded.h"
 
 namespace tfhpc::distrib {
 namespace {
@@ -166,6 +168,65 @@ TEST_F(TransportTest, ViewPayloadsFollowProtocolStagingSemantics) {
   EXPECT_GE(grpc_view_ser, total);
 }
 
+// The handler sees the payload exactly as the transport staged it.
+class TransportStagingTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ASSERT_TRUE(router_
+                    .Register("capture:1",
+                              [this](const wire::RpcEnvelope& req) {
+                                captured_ = req.payload;
+                                return wire::RpcEnvelope();
+                              })
+                    .ok());
+  }
+  wire::PayloadRef Deliver(WireProtocol p, const wire::PayloadRef& payload) {
+    wire::RpcEnvelope req;
+    req.method = "Capture";
+    req.payload = payload;
+    EXPECT_TRUE(router_.Call("capture:1", p, req).ok());
+    return std::move(captured_);
+  }
+  InProcessRouter router_;
+  wire::PayloadRef captured_;
+};
+
+// gRPC parses the received frame in place: the payload is one range of the
+// frame's block, read without another copy, whatever the sender passed.
+TEST_F(TransportStagingTest, GrpcPayloadIsOneViewOfTheReceivedFrame) {
+  Tensor t(DType::kF32, Shape{1000});
+  for (int i = 0; i < 1000; ++i) t.mutable_data<float>()[i] = i * 0.5f;
+  const wire::PayloadRef view = wire::SerializeTensorView(t);
+  for (const wire::PayloadRef& sent :
+       {view, wire::PayloadRef(view.Flatten())}) {
+    const wire::PayloadRef got = Deliver(WireProtocol::kGrpc, sent);
+    ASSERT_TRUE(got.is_view());
+    EXPECT_TRUE(got.head().empty());
+    EXPECT_NE(got.buffer(), t.buffer());
+    EXPECT_GT(got.view_offset(), 0u) << "the payload follows the frame header";
+    EXPECT_EQ(got, sent);
+  }
+}
+
+// MPI stages a view payload's content once, into a block of exactly the
+// content's size, which the receiver adopts as the tensor's buffer.
+TEST_F(TransportStagingTest, MpiViewContentArrivesInAnExactSizeBlock) {
+  Tensor t(DType::kF64, Shape{257});
+  for (int i = 0; i < 257; ++i) t.mutable_data<double>()[i] = i - 100.0;
+  const wire::PayloadRef view = wire::SerializeTensorView(t);
+  const wire::PayloadRef got = Deliver(WireProtocol::kMpi, view);
+  ASSERT_TRUE(got.is_view());
+  EXPECT_EQ(got.head(), view.head());
+  EXPECT_NE(got.buffer(), t.buffer()) << "MPI copies; only RDMA forwards";
+  EXPECT_EQ(got.view_offset(), 0u);
+  EXPECT_EQ(got.buffer()->size(), got.view_size());
+  EXPECT_EQ(got, view);
+  auto parsed = wire::ParseTensorView(got);
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed->buffer(), got.buffer()) << "adopted, not copied";
+  EXPECT_TRUE(parsed->BitwiseEquals(t));
+}
+
 TEST_F(TransportTest, ViewAndInlinePayloadsAreWireIdentical) {
   Tensor t(DType::kF64, Shape{257});  // odd size: exercises framing edges
   for (int i = 0; i < 257; ++i) t.mutable_data<double>()[i] = i * 0.25;
@@ -297,6 +358,72 @@ TEST_F(ServerTest, GrpcVarAssignKeepsItsSerializeAndCopyCosts) {
   EXPECT_GE(st.bytes_serialized.load(), big.bytes());
   EXPECT_GE(st.bytes_copied.load(), big.bytes());
   EXPECT_EQ(st.views_forwarded.load(), 0);
+}
+
+// A TensorProto's dims come off the wire. Dims whose product overflows, or
+// whose byte size the content cannot fill, must be an InvalidArgument reply
+// rather than an abort or a petabyte allocation in the ps task. The split
+// VarWrite payload crosses gRPC flattened (ParseTensor reads it) and MPI
+// as a view (ParseTensorView reads it).
+TEST_F(ServerTest, MalformedTensorDimsAreInvalidArgument) {
+  const uint64_t kShapes[][2] = {{uint64_t{1} << 40, uint64_t{1} << 40},
+                                 {uint64_t{1} << 24, uint64_t{1} << 24}};
+  for (WireProtocol p : {WireProtocol::kGrpc, WireProtocol::kMpi}) {
+    for (const auto& dims : kShapes) {
+      std::string proto;
+      wire::CodedOutput po(&proto);
+      po.WriteUInt64(1, static_cast<uint64_t>(DType::kF32));
+      po.WriteUInt64(2, dims[0]);
+      po.WriteUInt64(2, dims[1]);
+      po.WriteTag(3, wire::WireType::kLengthDelimited);
+      po.WriteVarint(4);
+      std::string head;
+      wire::CodedOutput ho(&head);
+      ho.WriteString(1, "bad_dims");
+      ho.WriteTag(2, wire::WireType::kLengthDelimited);
+      ho.WriteVarint(proto.size() + 4);
+      head += proto;
+      auto content = Buffer::Allocate(4);
+      wire::RpcEnvelope req;
+      req.method = "VarWrite";
+      req.client_id = 77;
+      req.request_id = dims[0] + static_cast<uint64_t>(p);
+      req.payload = wire::PayloadRef::View(head, content, 0, 4);
+      req.checksum = wire::PayloadChecksum(req.payload);
+      auto resp = router_.Call("t01n01:8888", p, req);
+      ASSERT_TRUE(resp.ok()) << WireProtocolName(p);
+      EXPECT_EQ(resp->status_code, static_cast<int32_t>(Code::kInvalidArgument))
+          << WireProtocolName(p) << " dims " << dims[0] << ": "
+          << resp->status_msg;
+    }
+    auto client = Client("t01n01:8888", p);
+    ASSERT_TRUE(client.VarAssign("after_bad_dims", Tensor::Scalar(2.5)).ok())
+        << WireProtocolName(p) << ": the ps task must keep serving";
+    EXPECT_DOUBLE_EQ(client.VarRead("after_bad_dims")->scalar<double>(), 2.5);
+  }
+}
+
+// Pooled staging keeps the gRPC frame and wire-copy blocks mapped between
+// pushes, so warm 16 MiB pushes fault in almost none of the pages they move.
+// The first two pushes populate the pool: the variable's first value and
+// the first sum each take a fresh block.
+TEST_F(ServerTest, WarmGrpcPushesDoNotFaultInStagingPages) {
+  auto client = Client("t01n01:8888", WireProtocol::kGrpc);
+  Tensor update(DType::kF32, Shape{int64_t{4} << 20});  // 16 MiB
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(client.VarAssignAdd("warm", update).ok());
+  }
+  constexpr int kPushes = 8;
+  const int64_t pages = kPushes * update.bytes() / 4096;
+  rusage before{}, after{};
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &before), 0);
+  for (int i = 0; i < kPushes; ++i) {
+    ASSERT_TRUE(client.VarAssignAdd("warm", update).ok());
+  }
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &after), 0);
+  const int64_t faults = after.ru_minflt - before.ru_minflt;
+  EXPECT_LT(faults, pages / 16) << faults << " minor faults over " << pages
+                                << " pushed pages";
 }
 
 TEST_F(ServerTest, ReadMissingVariableFails) {

@@ -3,6 +3,7 @@
 // deep chains, and concurrent-session pressure on shared resources.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <fstream>
 #include <random>
 #include <set>
@@ -27,6 +28,37 @@ std::string RandomBytes(std::mt19937_64& rng, size_t max_len) {
   return s;
 }
 
+// Feeds `bytes` to RpcEnvelope::Parse twice: inline, and as a frame that
+// ends exactly where its pooled block ends, the way the transports hand
+// frames over. A parse that succeeds must yield a payload inside the frame:
+// hashing every payload byte turns an out-of-frame view into a test
+// failure, or an ASan report past the block's end.
+void ParseEnvelopeBothWays(const std::string& bytes) {
+  const auto inline_r = wire::RpcEnvelope::Parse(bytes);
+  size_t block = BufferPool::kMinClassBytes;
+  while (block < bytes.size()) block <<= 1;
+  auto buffer = Buffer::Allocate(block, nullptr, ZeroInit::kNo);
+  const size_t at = block - bytes.size();
+  if (!bytes.empty()) {
+    std::memcpy(static_cast<char*>(buffer->data()) + at, bytes.data(),
+                bytes.size());
+  }
+  const auto framed_r =
+      wire::RpcEnvelope::Parse(wire::PayloadRef::View("", buffer, at,
+                                                      bytes.size()));
+  ASSERT_EQ(inline_r.ok(), framed_r.ok());
+  if (!framed_r.ok()) return;
+  const wire::PayloadRef& p = framed_r->payload;
+  ASSERT_LE(p.size(), bytes.size());
+  if (p.is_view()) {
+    ASSERT_EQ(p.buffer(), buffer);
+    ASSERT_GE(p.view_offset(), at);
+    ASSERT_LE(p.view_offset() + p.view_size(), block);
+  }
+  EXPECT_EQ(wire::PayloadChecksum(p),
+            wire::PayloadChecksum(inline_r->payload));
+}
+
 class WireFuzzTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(WireFuzzTest, AllParsersSurviveGarbage) {
@@ -36,11 +68,33 @@ TEST_P(WireFuzzTest, AllParsersSurviveGarbage) {
     (void)wire::ParseTensor(bytes);
     (void)wire::GraphDef::Parse(bytes);
     (void)wire::ClusterDef::Parse(bytes);
-    (void)wire::RpcEnvelope::Parse(bytes);
+    ParseEnvelopeBothWays(bytes);
     (void)wire::AttrValue::Parse(bytes.data(), bytes.size());
     (void)wire::NodeDef::Parse(bytes.data(), bytes.size());
   }
   SUCCEED();
+}
+
+TEST_P(WireFuzzTest, EnvelopeTruncationsAndMutationsSurvive) {
+  std::mt19937_64 rng(static_cast<uint64_t>(GetParam()) * 7919 + 3);
+  wire::RpcEnvelope e;
+  e.method = "VarWrite";
+  e.request_id = 42;
+  e.payload = RandomBytes(rng, 300);
+  e.status_msg = "trailing fields";
+  e.client_id = 9;
+  e.checksum = wire::PayloadChecksum(e.payload);
+  const std::string good = e.Serialize().Flatten();
+  for (size_t len = 0; len <= good.size(); ++len) {
+    ParseEnvelopeBothWays(good.substr(0, len));
+  }
+  std::uniform_int_distribution<size_t> pos(0, good.size() - 1);
+  std::uniform_int_distribution<int> byte(0, 255);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::string bad = good;
+    bad[pos(rng)] = static_cast<char>(byte(rng));
+    ParseEnvelopeBothWays(bad);
+  }
 }
 
 TEST_P(WireFuzzTest, TruncationsOfValidMessagesSurvive) {
@@ -188,30 +242,37 @@ TEST(ServerFuzzTest, MalformedPayloadsErrorCleanly) {
   distrib::InProcessRouter router;
   auto server = distrib::Server::Create({spec, "w", 0, 0}, &router).value();
 
-  std::mt19937_64 rng(3);
   const char* methods[] = {"ExtendGraph", "RunStep",  "Enqueue",
                            "Dequeue",     "VarWrite", "VarRead",
                            "RendezvousSend"};
-  for (int trial = 0; trial < 200; ++trial) {
-    wire::RpcEnvelope req;
-    req.method = methods[trial % 7];
-    req.payload = RandomBytes(rng, 128);
-    // Dequeue with a garbage payload could block on a real queue name; the
-    // decode rejects unparseable payloads, and parseable ones name a queue
-    // that never fills — skip the genuinely blocking method on payloads
-    // that decode successfully.
-    if (req.method == "Dequeue") {
-      std::string q;
-      Tensor t;
-      int64_t cap;
-      if (distrib::DecodeQueuePayloadView(req.payload, &q, &t, &cap).ok()) {
-        continue;
+  // Each protocol delivers the garbage its own way: a sub-view of the gRPC
+  // frame, MPI's and RDMA's staged blocks.
+  for (distrib::WireProtocol proto :
+       {distrib::WireProtocol::kGrpc, distrib::WireProtocol::kMpi,
+        distrib::WireProtocol::kRdma}) {
+    std::mt19937_64 rng(3);
+    for (int trial = 0; trial < 200; ++trial) {
+      wire::RpcEnvelope req;
+      req.method = methods[trial % 7];
+      req.payload = RandomBytes(rng, 128);
+      // Dequeue with a garbage payload could block on a real queue name; the
+      // decode rejects unparseable payloads, and parseable ones name a queue
+      // that never fills — skip the genuinely blocking method on payloads
+      // that decode successfully.
+      if (req.method == "Dequeue") {
+        std::string q;
+        Tensor t;
+        int64_t cap;
+        if (distrib::DecodeQueuePayloadView(req.payload, &q, &t, &cap).ok()) {
+          continue;
+        }
       }
+      auto resp = router.Call("fz:1", proto, req);
+      ASSERT_TRUE(resp.ok());  // transport-level ok
+      // Service must report a structured error, not crash.
+      EXPECT_NE(resp->status_code, 0)
+          << req.method << " over " << distrib::WireProtocolName(proto);
     }
-    auto resp = router.Call("fz:1", distrib::WireProtocol::kGrpc, req);
-    ASSERT_TRUE(resp.ok());  // transport-level ok
-    // Service must report a structured error, not crash.
-    EXPECT_NE(resp->status_code, 0) << req.method;
   }
 }
 

@@ -213,6 +213,59 @@ TEST(TensorProtoTest, RejectsImplausibleDims) {
   EXPECT_FALSE(ParseTensor(buf).ok());
 }
 
+// An f32 proto with two dims and 4 content bytes, whole or split into a
+// head and a content view the way SerializeTensorView frames it.
+std::string ProtoHeadWithDims(uint64_t d0, uint64_t d1, bool meta) {
+  std::string buf;
+  CodedOutput co(&buf);
+  co.WriteUInt64(1, static_cast<uint64_t>(DType::kF32));
+  co.WriteUInt64(2, d0);
+  co.WriteUInt64(2, d1);
+  if (meta) {
+    co.WriteBool(4, true);
+  } else {
+    co.WriteTag(3, WireType::kLengthDelimited);
+    co.WriteVarint(4);
+  }
+  return buf;
+}
+
+// Dims are checked before anything is built: an overflowing element count
+// once aborted in Shape::num_elements(), and a byte size the content cannot
+// fill once reached the allocator (1 PiB for [2^24, 2^24]).
+TEST(TensorProtoTest, RejectsDimsBeforeBuildingTheTensor) {
+  const uint64_t kShapes[][2] = {{uint64_t{1} << 40, uint64_t{1} << 40},
+                                 {uint64_t{1} << 24, uint64_t{1} << 24}};
+  auto content = Buffer::Allocate(4);
+  for (const auto& dims : kShapes) {
+    const std::string head = ProtoHeadWithDims(dims[0], dims[1], false);
+    const std::string whole = head + std::string(4, '\0');
+    if (dims[0] == uint64_t{1} << 40) {
+      EXPECT_EQ(whole.size(), 22u);
+    }
+    const PayloadRef split = PayloadRef::View(head, content, 0, 4);
+    for (const Result<Tensor>& r :
+         {ParseTensor(whole), ParseTensorView(PayloadRef(whole)),
+          ParseTensorView(split)}) {
+      ASSERT_FALSE(r.ok()) << dims[0];
+      EXPECT_EQ(r.status().code(), Code::kInvalidArgument);
+    }
+  }
+}
+
+// A meta tensor has no content to compare against: only overflow rejects
+// it, so the simulator's huge meta shapes keep parsing.
+TEST(TensorProtoTest, MetaDimsAreRejectedOnlyOnOverflow) {
+  auto big = ParseTensor(ProtoHeadWithDims(1 << 24, 1 << 24, true));
+  ASSERT_TRUE(big.ok()) << big.status().ToString();
+  EXPECT_TRUE(big->is_meta());
+  EXPECT_EQ(big->num_elements(), int64_t{1} << 48);
+  auto overflow = ParseTensor(
+      ProtoHeadWithDims(uint64_t{1} << 40, uint64_t{1} << 40, true));
+  ASSERT_FALSE(overflow.ok());
+  EXPECT_EQ(overflow.status().code(), Code::kInvalidArgument);
+}
+
 TEST(TensorProtoTest, RejectsContentSizeMismatch) {
   Tensor t = Tensor::FromVector(std::vector<float>{1, 2, 3});
   std::string s = SerializeTensor(t);
@@ -349,6 +402,96 @@ TEST(RpcEnvelopeTest, CarriesSerializedTensor) {
   auto t2 = ParseTensor(r->payload);
   ASSERT_TRUE(t2.ok());
   EXPECT_TRUE(t2->BitwiseEquals(t));
+}
+
+// The frame is one pooled block; the parsed payload is a sub-view of it, so
+// the payload bytes are written once by Serialize and never copied again.
+TEST(RpcEnvelopeTest, ParsedPayloadIsASubViewOfTheFrame) {
+  RpcEnvelope e;
+  e.method = "VarWrite";
+  e.request_id = 5;
+  e.payload = std::string(1000, 'p');
+  e.status_msg = "after the payload";
+  const PayloadRef frame = e.Serialize();
+  ASSERT_TRUE(frame.is_view());
+  EXPECT_TRUE(frame.head().empty());
+  auto r = RpcEnvelope::Parse(frame);
+  ASSERT_TRUE(r.ok());
+  ASSERT_TRUE(r->payload.is_view());
+  EXPECT_TRUE(r->payload.head().empty());
+  EXPECT_EQ(r->payload.buffer(), frame.buffer());
+  EXPECT_GT(r->payload.view_offset(), 0u);
+  EXPECT_EQ(r->payload, e.payload);
+  EXPECT_EQ(r->status_msg, "after the payload");
+  // The same bytes inline parse to the same envelope, with inline bytes.
+  auto inline_r = RpcEnvelope::Parse(PayloadRef(frame.Flatten()));
+  ASSERT_TRUE(inline_r.ok());
+  EXPECT_FALSE(inline_r->payload.is_view());
+  EXPECT_EQ(inline_r->payload, e.payload);
+}
+
+// A view payload's buffer bytes are flattened into the frame exactly as
+// inline bytes are, and a split frame is refused rather than copied.
+TEST(RpcEnvelopeTest, ViewPayloadFramesLikeItsBytes) {
+  Tensor t(DType::kF64, Shape{33});
+  for (int i = 0; i < 33; ++i) t.mutable_data<double>()[i] = i * 1.5;
+  RpcEnvelope view_e;
+  view_e.method = "Enqueue";
+  view_e.payload = SerializeTensorView(t);
+  ASSERT_TRUE(view_e.payload.is_view());
+  RpcEnvelope inline_e = view_e;
+  inline_e.payload = view_e.payload.Flatten();
+  const PayloadRef frame = view_e.Serialize();
+  EXPECT_EQ(frame, inline_e.Serialize());
+  auto r = RpcEnvelope::Parse(frame);
+  ASSERT_TRUE(r.ok());
+  auto back = ParseTensor(r->payload);
+  ASSERT_TRUE(back.ok());
+  EXPECT_TRUE(back->BitwiseEquals(t));
+  EXPECT_EQ(RpcEnvelope::Parse(view_e.payload).status().code(),
+            Code::kInvalidArgument);
+}
+
+// ---- PayloadRef ------------------------------------------------------------------
+
+TEST(PayloadRefTest, ContiguousReadsOneRangeInPlace) {
+  auto buffer = Buffer::Allocate(16);
+  std::memcpy(buffer->data(), "0123456789abcdef", 16);
+  const PayloadRef inline_p(std::string("inline"));
+  const PayloadRef range = PayloadRef::View("", buffer, 3, 8);
+  const PayloadRef split = PayloadRef::View("hd", buffer, 3, 8);
+  EXPECT_TRUE(inline_p.is_contiguous());
+  EXPECT_TRUE(range.is_contiguous());
+  EXPECT_FALSE(split.is_contiguous());
+  std::string scratch;
+  EXPECT_EQ(inline_p.Contiguous(&scratch).data(), inline_p.head().data());
+  EXPECT_EQ(range.Contiguous(&scratch).data(),
+            reinterpret_cast<const char*>(range.view_data()));
+  EXPECT_EQ(range.Contiguous(&scratch), "3456789a");
+  EXPECT_TRUE(scratch.empty()) << "one range is never flattened";
+  EXPECT_EQ(split.Contiguous(&scratch), "hd3456789a");
+  EXPECT_EQ(scratch, "hd3456789a");
+  EXPECT_EQ(split.first_range(), "hd");
+}
+
+TEST(PayloadRefTest, SliceKeepsViewBytesAsAView) {
+  auto buffer = Buffer::Allocate(16);
+  std::memcpy(buffer->data(), "0123456789abcdef", 16);
+  const PayloadRef split = PayloadRef::View("head", buffer, 2, 10);
+  const std::string flat = split.Flatten();
+  for (size_t off = 0; off <= flat.size(); ++off) {
+    for (size_t len = 0; off + len <= flat.size(); ++len) {
+      const PayloadRef s = split.Slice(off, len);
+      EXPECT_EQ(s.Flatten(), flat.substr(off, len)) << off << "+" << len;
+      if (len > 0 && off + len > 4) {
+        ASSERT_TRUE(s.is_view()) << off << "+" << len;
+        EXPECT_EQ(s.buffer(), buffer);
+        EXPECT_EQ(s.head().size(), off < 4 ? 4 - off : 0);
+      } else {
+        EXPECT_FALSE(s.is_view());
+      }
+    }
+  }
 }
 
 // ---- RegisterStep messages ---------------------------------------------------
