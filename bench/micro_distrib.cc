@@ -1,12 +1,16 @@
 // Microbenchmarks of the distributed layer: remote step dispatch, variable
-// pushes (the STREAM primitive), queue RPCs, barrier rounds, ring
-// allreduce, and distributed-session steps — the real-framework overheads
-// the machine model's step_overhead_s abstracts.
+// pushes (the STREAM primitive), the payload checksum, queue RPCs, barrier
+// rounds, ring allreduce, and distributed-session steps — the
+// real-framework overheads the machine model's step_overhead_s abstracts.
+// Benchmarks whose passes fan out to the thread pool time wall clock
+// (UseRealTime): the rates would otherwise be divided by the calling
+// thread's CPU time alone.
 #include <benchmark/benchmark.h>
 
 #include <thread>
 
 #include "apps/allreduce.h"
+#include "core/rng.h"
 #include "distrib/barrier.h"
 #include "distrib/dist_session.h"
 #include "distrib/server.h"
@@ -51,7 +55,33 @@ BENCHMARK(BM_RemoteVarAssignAdd)
                    {static_cast<int64_t>(WireProtocol::kGrpc),
                     static_cast<int64_t>(WireProtocol::kMpi),
                     static_cast<int64_t>(WireProtocol::kRdma)}})
-    ->Unit(benchmark::kMicrosecond);
+    ->Unit(benchmark::kMicrosecond)
+    ->UseRealTime();
+
+// The RpcEnvelope checksum over a serialized f32 tensor of range(0) content
+// bytes, inline (range(1) == 0) or as a head + tensor-buffer view. 1 MiB of
+// content (plus its head) is hashed on the calling thread, 16 MiB across
+// the pool.
+void BM_PayloadChecksum(benchmark::State& state) {
+  Tensor t(DType::kF32, Shape{state.range(0) / 4});
+  FillUniform(t, 1);
+  const bool view = state.range(1) != 0;
+  const wire::PayloadRef payload =
+      view ? wire::SerializeTensorView(t)
+           : wire::PayloadRef(wire::SerializeTensor(t));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(wire::PayloadChecksum(payload));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(payload.size()));
+  state.SetLabel(view ? "view" : "inline");
+}
+BENCHMARK(BM_PayloadChecksum)
+    ->Args({1 << 20, 0})
+    ->Args({1 << 20, 1})
+    ->Args({16 << 20, 0})
+    ->Args({16 << 20, 1})
+    ->UseRealTime();
 
 void BM_RemoteRunStep(benchmark::State& state) {
   MiniCluster c;

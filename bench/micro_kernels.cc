@@ -1,5 +1,8 @@
 // Microbenchmarks of the compute substrate: GEMM, GEMV, FFT, RNG fills,
-// the pooled allocator. google-benchmark; real execution, wall-clock.
+// the pooled allocator. google-benchmark; real execution. Every benchmark
+// whose kernel fans out through ParallelFor times wall clock
+// (UseRealTime): google-benchmark would otherwise divide its rates by the
+// calling thread's CPU time alone, and never charge the pool threads' work.
 // Custom main mirrors the console run into BENCH_microkernels.json.
 #include <benchmark/benchmark.h>
 
@@ -29,7 +32,7 @@ void BM_GemmF32(benchmark::State& state) {
       2.0 * static_cast<double>(n) * n * n * static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate, benchmark::Counter::kIs1000);
 }
-BENCHMARK(BM_GemmF32)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
+BENCHMARK(BM_GemmF32)->Arg(64)->Arg(128)->Arg(256)->Arg(512)->UseRealTime();
 
 void BM_GemmF64(benchmark::State& state) {
   const int64_t n = state.range(0);
@@ -44,7 +47,7 @@ void BM_GemmF64(benchmark::State& state) {
       2.0 * static_cast<double>(n) * n * n * static_cast<double>(state.iterations()),
       benchmark::Counter::kIsRate, benchmark::Counter::kIs1000);
 }
-BENCHMARK(BM_GemmF64)->Arg(64)->Arg(256);
+BENCHMARK(BM_GemmF64)->Arg(64)->Arg(256)->UseRealTime();
 
 void BM_GemvF64(benchmark::State& state) {
   const int64_t n = state.range(0);
@@ -56,7 +59,7 @@ void BM_GemvF64(benchmark::State& state) {
     benchmark::DoNotOptimize(y.data());
   }
 }
-BENCHMARK(BM_GemvF64)->Arg(256)->Arg(1024);
+BENCHMARK(BM_GemvF64)->Arg(256)->Arg(1024)->UseRealTime();
 
 void BM_DotF64(benchmark::State& state) {
   const int64_t n = state.range(0);
@@ -69,7 +72,11 @@ void BM_DotF64(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * n * 2 *
                           static_cast<int64_t>(sizeof(double)));
 }
-BENCHMARK(BM_DotF64)->Arg(1 << 12)->Arg(1 << 20)->Arg(1 << 24);
+BENCHMARK(BM_DotF64)
+    ->Arg(1 << 12)
+    ->Arg(1 << 20)
+    ->Arg(1 << 24)
+    ->UseRealTime();
 
 void BM_DotF32(benchmark::State& state) {
   const int64_t n = state.range(0);
@@ -82,7 +89,11 @@ void BM_DotF32(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * n * 2 *
                           static_cast<int64_t>(sizeof(float)));
 }
-BENCHMARK(BM_DotF32)->Arg(1 << 12)->Arg(1 << 20)->Arg(1 << 24);
+BENCHMARK(BM_DotF32)
+    ->Arg(1 << 12)
+    ->Arg(1 << 20)
+    ->Arg(1 << 24)
+    ->UseRealTime();
 
 void BM_ReduceSumF64(benchmark::State& state) {
   const int64_t n = state.range(0);
@@ -94,7 +105,11 @@ void BM_ReduceSumF64(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * n *
                           static_cast<int64_t>(sizeof(double)));
 }
-BENCHMARK(BM_ReduceSumF64)->Arg(1 << 12)->Arg(1 << 20)->Arg(1 << 24);
+BENCHMARK(BM_ReduceSumF64)
+    ->Arg(1 << 12)
+    ->Arg(1 << 20)
+    ->Arg(1 << 24)
+    ->UseRealTime();
 
 void BM_ReduceSumF32(benchmark::State& state) {
   const int64_t n = state.range(0);
@@ -106,7 +121,11 @@ void BM_ReduceSumF32(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * n *
                           static_cast<int64_t>(sizeof(float)));
 }
-BENCHMARK(BM_ReduceSumF32)->Arg(1 << 12)->Arg(1 << 20)->Arg(1 << 24);
+BENCHMARK(BM_ReduceSumF32)
+    ->Arg(1 << 12)
+    ->Arg(1 << 20)
+    ->Arg(1 << 24)
+    ->UseRealTime();
 
 void BM_FftRadix2(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
@@ -142,7 +161,7 @@ void BM_CooleyTukeyMerge(benchmark::State& state) {
     benchmark::DoNotOptimize(out.data());
   }
 }
-BENCHMARK(BM_CooleyTukeyMerge)->Arg(4)->Arg(16)->Arg(64);
+BENCHMARK(BM_CooleyTukeyMerge)->Arg(4)->Arg(16)->Arg(64)->UseRealTime();
 
 void BM_PhiloxFill(benchmark::State& state) {
   Tensor t(DType::kF32, Shape{state.range(0)});
@@ -153,7 +172,7 @@ void BM_PhiloxFill(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * t.bytes());
 }
-BENCHMARK(BM_PhiloxFill)->Arg(1 << 12)->Arg(1 << 20);
+BENCHMARK(BM_PhiloxFill)->Arg(1 << 12)->Arg(1 << 20)->UseRealTime();
 
 void BM_SpdMatrix(benchmark::State& state) {
   const int64_t n = state.range(0);
@@ -163,7 +182,7 @@ void BM_SpdMatrix(benchmark::State& state) {
     benchmark::DoNotOptimize(t.raw_data());
   }
 }
-BENCHMARK(BM_SpdMatrix)->Arg(128)->Arg(512);
+BENCHMARK(BM_SpdMatrix)->Arg(128)->Arg(512)->UseRealTime();
 
 // Pooled allocator: steady-state Allocate/free recycles one size class, so
 // the pool-hit path (free-list pop, no memset) is what's measured; the

@@ -1,6 +1,6 @@
 // Microbenchmarks of the runtime and distributed substrate: session step
-// dispatch, graph passes, queues, protobuf-wire serialization, the payload
-// checksum, npy codec and tile loads, transport round trips.
+// dispatch, graph passes, queues, protobuf-wire serialization, npy codec and
+// tile loads, transport round trips.
 #include <benchmark/benchmark.h>
 #include <unistd.h>
 
@@ -121,28 +121,6 @@ void BM_NpyRoundTrip(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * t.bytes());
 }
 BENCHMARK(BM_NpyRoundTrip)->Arg(1 << 10)->Arg(1 << 16);
-
-// The RpcEnvelope checksum over a serialized f32 tensor of range(0) content
-// bytes, inline (range(1) == 0) or as a head + tensor-buffer view.
-void BM_PayloadChecksum(benchmark::State& state) {
-  Tensor t(DType::kF32, Shape{state.range(0) / 4});
-  FillUniform(t, 1);
-  const bool view = state.range(1) != 0;
-  const wire::PayloadRef payload =
-      view ? wire::SerializeTensorView(t)
-           : wire::PayloadRef(wire::SerializeTensor(t));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(wire::PayloadChecksum(payload));
-  }
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<int64_t>(payload.size()));
-  state.SetLabel(view ? "view" : "inline");
-}
-BENCHMARK(BM_PayloadChecksum)
-    ->Args({1 << 20, 0})
-    ->Args({1 << 20, 1})
-    ->Args({16 << 20, 0})
-    ->Args({16 << 20, 1});
 
 // A tile load: one .npy file of range(0) f32 content bytes.
 void BM_LoadNpy(benchmark::State& state) {

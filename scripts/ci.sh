@@ -101,7 +101,7 @@ echo "==== memplan ablation: bit-identical, bounds sound, allocs reduced ===="
 # ctest -R filters of the sanitizer legs below. Every '|' term must match at
 # least one test of the tier-1 build (which registers the same tests as the
 # sanitizer builds), so a renamed suite cannot drop out of a leg silently.
-tsan_filter='ExecutableCache|DistSession|DistStep|FaultTolerance|StepRecovery|JobRecovery|Liveness|Rendezvous|BufferPool|Serving|CancellationToken|Oom|Optimizer|Fused|Coalesce'
+tsan_filter='ExecutableCache|DistSession|DistStep|FaultTolerance|StepRecovery|JobRecovery|Liveness|Rendezvous|BufferPool|Serving|CancellationToken|Oom|Optimizer|Fused|Coalesce|ThreadPool|WireChecksum|VariableAccumulate'
 asan_filter='BufferPool|OutputBuffer|TensorBuffer|MemplanRuntime|Transport|ServerTest|Checkpoint|TensorProto|WireChecksum|PayloadRef|RpcEnvelope|WireFuzz|ServerFuzz|Npy|Oom|Fused|Coalesce|Gemm'
 ubsan_filter='Gemm|Gemv|Fft|Reduction|ArrayKernel|KernelSession|Tensor|Shape|DType|Status|GraphCheck|ShapeInference|PlannedOutput|Wire|Optimizer|Fused'
 echo "==== sanitizer filters: every term matches a test ===="
@@ -124,9 +124,11 @@ fi
 # TSan over the suites that exercise cross-thread step execution: the
 # executable cache under concurrent Runs, the distributed step path, the
 # pooled allocator under concurrent alloc/free (including injected allocator
-# faults, the Oom* suites), fault/liveness recovery, and the serving layer
+# faults, the Oom* suites), fault/liveness recovery, the serving layer
 # (admission control, token cancellation, concurrent Session::Run over one
-# shared cached Executable).
+# shared cached Executable), the thread pool itself, and the bulk passes
+# whose chunks pool threads write (the payload checksum's chunk digests and
+# Variable::Accumulate's sum).
 echo "==== tier 2: ThreadSanitizer smoke ===="
 "$repo/scripts/sanitize.sh" thread "$tsan_filter"
 

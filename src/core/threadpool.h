@@ -4,7 +4,9 @@
 // never detaches, and owns all synchronisation internally.
 #pragma once
 
+#include <algorithm>
 #include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -49,5 +51,32 @@ class ThreadPool {
   bool shutdown_ = false;
   std::vector<std::thread> threads_;
 };
+
+// Bulk passes over a byte range (RPC payload copies and checksums, the
+// variable sum) run in fixed chunks of kBulkChunkBytes, the last one short.
+// A pass of at least kBulkPoolMinBytes (two whole chunks) spreads its chunks
+// over ThreadPool::Global(); a smaller one runs them in order on the calling
+// thread and schedules no pool task, so it never queues behind other work.
+// The chunk boundaries never depend on the thread count. The chunk is also
+// the unit of wire::PayloadChecksum, so changing it changes the checksum.
+inline constexpr size_t kBulkChunkBytes = size_t{1} << 20;
+inline constexpr size_t kBulkPoolMinBytes = 2 * kBulkChunkBytes;
+
+// Calls fn(begin, end) once for each chunk [begin, end) of [0, bytes).
+template <typename Fn>
+void ForEachBulkChunk(size_t bytes, Fn&& fn) {
+  const size_t chunks = (bytes + kBulkChunkBytes - 1) / kBulkChunkBytes;
+  auto run = [&](int64_t c0, int64_t c1) {
+    for (size_t c = static_cast<size_t>(c0); c < static_cast<size_t>(c1);
+         ++c) {
+      fn(c * kBulkChunkBytes, std::min(bytes, (c + 1) * kBulkChunkBytes));
+    }
+  };
+  if (bytes < kBulkPoolMinBytes) {
+    run(0, static_cast<int64_t>(chunks));
+  } else {
+    ThreadPool::Global().ParallelFor(static_cast<int64_t>(chunks), 1, run);
+  }
+}
 
 }  // namespace tfhpc

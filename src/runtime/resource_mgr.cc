@@ -2,17 +2,26 @@
 
 #include <complex>
 
+#include "core/threadpool.h"
+
 namespace tfhpc {
 namespace {
 
-// out = a + b elementwise; all three share one dtype and shape.
+// out = a + b elementwise; all three share one dtype and shape. A bulk
+// pass: every chunk boundary falls between two elements.
 template <typename T>
 void AddInto(const Tensor& a, const Tensor& b, Tensor* out) {
+  static_assert(kBulkChunkBytes % sizeof(T) == 0);
   const T* x = a.data<T>().data();
   const T* y = b.data<T>().data();
   T* z = out->mutable_data<T>();
-  const int64_t n = out->num_elements();
-  for (int64_t i = 0; i < n; ++i) z[i] = x[i] + y[i];
+  ForEachBulkChunk(static_cast<size_t>(out->bytes()),
+                   [x, y, z](size_t begin, size_t end) {
+                     for (size_t i = begin / sizeof(T); i < end / sizeof(T);
+                          ++i) {
+                       z[i] = x[i] + y[i];
+                     }
+                   });
 }
 
 }  // namespace
@@ -184,9 +193,9 @@ Result<Tensor> Variable::Accumulate(const Tensor& delta) {
     // Simulation mode: the value is unchanged metadata.
     return value_;
   }
-  // value + delta in one pass into a fresh buffer charged to the value's
-  // allocator. value_ is never written in place: readers hold shallow
-  // snapshots of it.
+  // value + delta in one bulk pass (pooled from two chunks up) into a fresh
+  // buffer charged to the value's allocator. value_ is never written in
+  // place: readers hold shallow snapshots of it.
   Tensor next = Tensor::Uninitialized(value_.dtype(), value_.shape(),
                                       value_.buffer()->stats());
   switch (next.dtype()) {

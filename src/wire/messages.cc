@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "core/threadpool.h"
 #include "wire/coded.h"
 
 namespace tfhpc::wire {
@@ -129,7 +130,10 @@ Result<Tensor> ParseTensorFields(std::string_view fields,
   // The content overwrites every element, so skip the zero-fill and let the
   // pool hand back a recycled block.
   Tensor t = Tensor::Uninitialized(dtype, std::move(shape));
-  if (content_size > 0) std::memcpy(t.raw_data(), content, content_size);
+  auto* out = static_cast<uint8_t*>(t.raw_data());
+  ForEachBulkChunk(content_size, [&](size_t begin, size_t end) {
+    std::memcpy(out + begin, content + begin, end - begin);
+  });
   return t;
 }
 

@@ -145,9 +145,9 @@ struct RpcEnvelope {
   // call: retried sends reuse the pair so servers can deduplicate
   // non-idempotent ops. client_id == 0 means "no dedup" (legacy callers).
   uint64_t client_id = 0;  // field 6
-  // PayloadChecksum (XXH64, seed 0) of payload, set by clients so servers
-  // can reject frames corrupted in flight with a retryable error. 0 means
-  // "unchecked".
+  // PayloadChecksum (XXH64-based, wire/payload.h) of payload, set by
+  // clients so servers can reject frames corrupted in flight with a
+  // retryable error. 0 means "unchecked".
   uint64_t checksum = 0;  // field 7
   // Absolute steady-clock deadline (ns since clock epoch) for this call;
   // 0 = none. Absolute works because the in-process cluster shares one

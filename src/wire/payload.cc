@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include "core/logging.h"
+#include "core/threadpool.h"
 
 namespace tfhpc::wire {
 namespace {
@@ -113,6 +115,23 @@ class Xxh64 {
   size_t carried_ = 0;
 };
 
+// Calls fn(at, bytes, n) for the parts of the payload's bytes [begin, end)
+// that lie in the head and then in the view; `at` is where `bytes` starts
+// in the payload.
+template <typename Fn>
+void ForEachRange(const PayloadRef& p, size_t begin, size_t end, Fn&& fn) {
+  const std::string& head = p.head();
+  if (begin < head.size()) {
+    const size_t stop = std::min(end, head.size());
+    fn(begin, reinterpret_cast<const uint8_t*>(head.data()) + begin,
+       stop - begin);
+    begin = stop;
+  }
+  if (begin < end) {
+    fn(begin, p.view_data() + (begin - head.size()), end - begin);
+  }
+}
+
 }  // namespace
 
 PayloadRef PayloadRef::View(std::string head, std::shared_ptr<Buffer> buffer,
@@ -147,9 +166,13 @@ std::string PayloadRef::Flatten() const {
 }
 
 void PayloadRef::CopyTo(void* dst) const {
-  char* out = static_cast<char*>(dst);
-  if (!head_.empty()) std::memcpy(out, head_.data(), head_.size());
-  if (is_view()) std::memcpy(out + head_.size(), view_data(), len_);
+  uint8_t* out = static_cast<uint8_t*>(dst);
+  ForEachBulkChunk(size(), [&](size_t begin, size_t end) {
+    ForEachRange(*this, begin, end,
+                 [out](size_t at, const uint8_t* bytes, size_t n) {
+                   std::memcpy(out + at, bytes, n);
+                 });
+  });
 }
 
 std::string_view PayloadRef::Contiguous(std::string* scratch) const {
@@ -190,16 +213,28 @@ bool PayloadRef::operator==(const PayloadRef& o) const {
   return Contiguous(&lhs_scratch) == o.Contiguous(&rhs_scratch);
 }
 
-uint64_t PayloadChecksum(const PayloadRef& p) {
-  Xxh64 h;
-  h.Update(reinterpret_cast<const uint8_t*>(p.head().data()), p.head().size());
-  if (p.is_view()) h.Update(p.view_data(), p.view_size());
-  return h.Digest();
-}
+// The chunk is part of the checksum's definition, fixed by the wire format.
+static_assert(kBulkChunkBytes == size_t{1} << 20);
 
-uint64_t PayloadChecksum(const std::string& data) {
+uint64_t PayloadChecksum(const PayloadRef& p) {
+  auto digest = [&p](size_t begin, size_t end) {
+    Xxh64 h;
+    ForEachRange(p, begin, end, [&h](size_t, const uint8_t* bytes, size_t n) {
+      h.Update(bytes, n);
+    });
+    return h.Digest();
+  };
+  if (p.size() <= kBulkChunkBytes) return digest(0, p.size());
+  std::vector<uint64_t> chunk_digests((p.size() + kBulkChunkBytes - 1) /
+                                      kBulkChunkBytes);
+  ForEachBulkChunk(p.size(), [&](size_t begin, size_t end) {
+    chunk_digests[begin / kBulkChunkBytes] = digest(begin, end);
+  });
+  // The digests' in-memory bytes are little-endian (little-endian hosts
+  // only, as Load64).
   Xxh64 h;
-  h.Update(reinterpret_cast<const uint8_t*>(data.data()), data.size());
+  h.Update(reinterpret_cast<const uint8_t*>(chunk_digests.data()),
+           chunk_digests.size() * sizeof(uint64_t));
   return h.Digest();
 }
 

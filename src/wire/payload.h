@@ -70,7 +70,8 @@ class PayloadRef {
 
   // Full byte sequence (head + view), always a fresh copy.
   std::string Flatten() const;
-  // Writes the full byte sequence to dst[0, size()).
+  // Writes the full byte sequence to dst[0, size()); a payload of
+  // kBulkPoolMinBytes or more is copied in chunks across the pool.
   void CopyTo(void* dst) const;
 
   // The bytes without copying when contiguous; a split payload is flattened
@@ -101,10 +102,14 @@ class PayloadRef {
   size_t len_ = 0;
 };
 
-// XXH64 (seed 0) of the payload's byte sequence: the RpcEnvelope checksum.
-// One streaming pass over the head and then the view, so a view hashes
+// The RpcEnvelope checksum of the payload's byte sequence. A payload of at
+// most kBulkChunkBytes (1 MiB, core/threadpool.h) hashes to its XXH64
+// (seed 0). A longer one hashes to the XXH64 (seed 0) of the little-endian
+// 8-byte XXH64 digests of its consecutive 1 MiB chunks, the last one short:
+// a streaming XXH64 is one dependent chain, while the chunks' digests are
+// independent, so a payload of two chunks or more hashes them across the
+// pool. The head and then the view are read in place, so a view hashes
 // exactly like its Flatten() without materializing the copy.
 uint64_t PayloadChecksum(const PayloadRef& p);
-uint64_t PayloadChecksum(const std::string& data);
 
 }  // namespace tfhpc::wire

@@ -226,24 +226,28 @@ TEST_F(FaultToleranceTest, CorruptedPayloadIsRejectedNotApplied) {
 
 // The same contract for a tensor-sized view payload: the corruptor flips the
 // middle byte, which now lands mid-stripe in the tensor body rather than in
-// the header, on the protocols that stage the body as bytes.
+// the header, on the protocols that stage the body as bytes. With 3 MiB of
+// content the checksum hashes four chunk digests taken across the pool, and
+// the corrupted byte lies in the second chunk.
 TEST_F(FaultToleranceTest, CorruptedViewPayloadIsRejectedNotApplied) {
-  Tensor big(DType::kF32, Shape{1 << 18});  // 1 MiB of content
-  FillUniform(big, 13);
-  for (WireProtocol p : {WireProtocol::kMpi, WireProtocol::kGrpc}) {
-    ChaosConfig chaos;
-    chaos.seed = 5;
-    chaos.corrupt_rate = 1.0;
-    router_.EnableChaos(chaos);
-    const int64_t rejects = ps_->checksum_rejects();
-    RemoteTask ps(&router_, "ft-ps:1", p);
-    const std::string var = std::string("big_") + WireProtocolName(p);
-    EXPECT_EQ(ps.VarAssign(var, big).code(), Code::kUnavailable)
-        << WireProtocolName(p);
-    EXPECT_GT(ps_->checksum_rejects(), rejects) << WireProtocolName(p);
-    router_.DisableChaos();
-    EXPECT_EQ(ps.VarRead(var).status().code(), Code::kFailedPrecondition)
-        << WireProtocolName(p);
+  for (int64_t elements : {int64_t{1} << 18, int64_t{3} << 18}) {
+    Tensor big(DType::kF32, Shape{elements});
+    FillUniform(big, 13);
+    for (WireProtocol p : {WireProtocol::kMpi, WireProtocol::kGrpc}) {
+      ChaosConfig chaos;
+      chaos.seed = 5;
+      chaos.corrupt_rate = 1.0;
+      router_.EnableChaos(chaos);
+      const int64_t rejects = ps_->checksum_rejects();
+      RemoteTask ps(&router_, "ft-ps:1", p);
+      const std::string var = "big_" + std::to_string(elements) + "_" +
+                              WireProtocolName(p);
+      EXPECT_EQ(ps.VarAssign(var, big).code(), Code::kUnavailable) << var;
+      EXPECT_GT(ps_->checksum_rejects(), rejects) << var;
+      router_.DisableChaos();
+      EXPECT_EQ(ps.VarRead(var).status().code(), Code::kFailedPrecondition)
+          << var;
+    }
   }
 }
 

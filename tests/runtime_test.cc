@@ -8,6 +8,7 @@
 #include <type_traits>
 
 #include "core/rng.h"
+#include "core/threadpool.h"
 #include "graph/ops.h"
 #include "runtime/session.h"
 
@@ -378,13 +379,12 @@ T TestValue(int64_t i, int salt) {
 // clone-then-add, cost the variable's allocator the one allocation the
 // clone did, and never write the buffer a reader's snapshot shares.
 template <typename T>
-void ExpectAccumulateIsCloneThenAdd() {
-  constexpr int64_t kN = 1031;  // odd: no vector-width luck
+void ExpectAccumulateIsCloneThenAdd(int64_t n) {
   AllocatorStats stats;
-  Tensor init(kDTypeOf<T>, Shape{kN}, &stats);
-  Tensor delta(kDTypeOf<T>, Shape{kN});
-  Tensor ref(kDTypeOf<T>, Shape{kN});  // unattributed reference
-  for (int64_t i = 0; i < kN; ++i) {
+  Tensor init(kDTypeOf<T>, Shape{n}, &stats);
+  Tensor delta(kDTypeOf<T>, Shape{n});
+  Tensor ref(kDTypeOf<T>, Shape{n});  // unattributed reference
+  for (int64_t i = 0; i < n; ++i) {
     init.mutable_data<T>()[i] = ref.mutable_data<T>()[i] = TestValue<T>(i, 1);
     delta.mutable_data<T>()[i] = TestValue<T>(i, 2);
   }
@@ -396,7 +396,7 @@ void ExpectAccumulateIsCloneThenAdd() {
   for (int round = 0; round < 3; ++round) {
     ASSERT_TRUE(v.Accumulate(delta).ok());
     Tensor next = ref.Clone();
-    for (int64_t i = 0; i < kN; ++i) {
+    for (int64_t i = 0; i < n; ++i) {
       next.mutable_data<T>()[i] += delta.data<T>()[static_cast<size_t>(i)];
     }
     ref = next;
@@ -404,15 +404,28 @@ void ExpectAccumulateIsCloneThenAdd() {
   EXPECT_EQ(stats.allocs() - allocs, 3);
   const Tensor now = v.Read().value();
   EXPECT_EQ(now.buffer()->stats(), &stats);
-  EXPECT_TRUE(now.BitwiseEquals(ref)) << DTypeName(kDTypeOf<T>);
-  EXPECT_TRUE(snapshot.BitwiseEquals(snapshot_bits)) << DTypeName(kDTypeOf<T>);
+  EXPECT_TRUE(now.BitwiseEquals(ref)) << DTypeName(kDTypeOf<T>) << " " << n;
+  EXPECT_TRUE(snapshot.BitwiseEquals(snapshot_bits))
+      << DTypeName(kDTypeOf<T>) << " " << n;
+}
+
+// 1031 is odd: no vector-width luck. The sum runs on the calling thread
+// below kBulkPoolMinBytes and across the pool from it; the last count ends
+// in a short chunk with an odd number of elements.
+template <typename T>
+void ExpectAccumulateIsCloneThenAddAcrossTheCutoff() {
+  const int64_t cutoff = static_cast<int64_t>(kBulkPoolMinBytes / sizeof(T));
+  for (int64_t n : {int64_t{1031}, cutoff - 1, cutoff, cutoff + 1,
+                    2 * cutoff + 13}) {
+    ExpectAccumulateIsCloneThenAdd<T>(n);
+  }
 }
 
 TEST(VariableAccumulateTest, OnePassSumIsBitIdenticalToCloneThenAdd) {
-  ExpectAccumulateIsCloneThenAdd<float>();
-  ExpectAccumulateIsCloneThenAdd<double>();
-  ExpectAccumulateIsCloneThenAdd<std::complex<double>>();
-  ExpectAccumulateIsCloneThenAdd<int64_t>();
+  ExpectAccumulateIsCloneThenAddAcrossTheCutoff<float>();
+  ExpectAccumulateIsCloneThenAddAcrossTheCutoff<double>();
+  ExpectAccumulateIsCloneThenAddAcrossTheCutoff<std::complex<double>>();
+  ExpectAccumulateIsCloneThenAddAcrossTheCutoff<int64_t>();
 }
 
 TEST_F(ExecutorTest, QueueRoundTripThroughGraphOps) {

@@ -3,12 +3,26 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "wire/coded.h"
 #include "wire/messages.h"
 
 namespace tfhpc::wire {
 namespace {
+
+constexpr size_t kMiB = size_t{1} << 20;
+
+// Deterministic filler bytes: the high byte of a 64-bit LCG.
+std::string TestBytes(size_t n, uint64_t seed) {
+  std::string s(n, '\0');
+  for (char& c : s) {
+    seed = seed * 6364136223846793005ull + 1442695040888963407ull;
+    c = static_cast<char>(seed >> 56);
+  }
+  return s;
+}
 
 // ---- Varints / primitives ---------------------------------------------------
 
@@ -474,6 +488,20 @@ TEST(PayloadRefTest, ContiguousReadsOneRangeInPlace) {
   EXPECT_EQ(split.first_range(), "hd");
 }
 
+// 2 MiB + 7 B is copied in chunks across the pool; the first chunk spans
+// the 7-byte head and the start of the view.
+TEST(PayloadRefTest, CopyToOfASplitPayloadWritesItsFlattenedBytes) {
+  const std::string bytes = TestBytes(64 + 2 * kMiB, 3);
+  auto buffer = Buffer::Allocate(bytes.size());
+  std::memcpy(buffer->data(), bytes.data(), bytes.size());
+  const PayloadRef split =
+      PayloadRef::View(TestBytes(7, 4), buffer, 64, 2 * kMiB);
+  ASSERT_EQ(split.size(), 2 * kMiB + 7);
+  std::string out(split.size(), '\0');
+  split.CopyTo(out.data());
+  EXPECT_TRUE(out == split.Flatten());
+}
+
 TEST(PayloadRefTest, SliceKeepsViewBytesAsAView) {
   auto buffer = Buffer::Allocate(16);
   std::memcpy(buffer->data(), "0123456789abcdef", 16);
@@ -537,16 +565,6 @@ TEST(RegisterStepTest, ResponseNegativeVersionSurvivesZigZag) {
 
 // ---- Payload checksum (XXH64) --------------------------------------------------
 
-// Deterministic filler bytes: the high byte of a 64-bit LCG.
-std::string TestBytes(size_t n, uint64_t seed) {
-  std::string s(n, '\0');
-  for (char& c : s) {
-    seed = seed * 6364136223846793005ull + 1442695040888963407ull;
-    c = static_cast<char>(seed >> 56);
-  }
-  return s;
-}
-
 TEST(WireChecksumTest, MatchesPublishedXxh64Vectors) {
   EXPECT_EQ(PayloadChecksum(std::string()), 0xef46db3751d8e999ull);
   EXPECT_EQ(PayloadChecksum(std::string("a")), 0xd24ec4f1a98c6e5bull);
@@ -557,19 +575,57 @@ TEST(WireChecksumTest, MatchesPublishedXxh64Vectors) {
             0xfbcea83c8a378bf1ull);
 }
 
+// The serially built checksum of a payload over 1 MiB: each 1 MiB chunk
+// (the last one short) hashed alone, the digests written as little-endian
+// bytes and hashed once more.
+uint64_t SerialChunkedChecksum(const std::string& bytes) {
+  std::string digests;
+  for (size_t at = 0; at < bytes.size(); at += kMiB) {
+    const uint64_t d = PayloadChecksum(bytes.substr(at, kMiB));
+    for (int i = 0; i < 8; ++i) {
+      digests.push_back(static_cast<char>(d >> (8 * i)));
+    }
+  }
+  return PayloadChecksum(digests);
+}
+
+TEST(WireChecksumTest, PayloadsOverOneMiBHashTheirChunkDigests) {
+  // Exactly 1 MiB is still one XXH64 stream, and 1 MiB + 1 is two chunks.
+  // Both values are from an independent XXH64 implementation that
+  // reproduces the published vectors.
+  EXPECT_EQ(PayloadChecksum(TestBytes(kMiB, 1)), 0x3fe5cc6cf6799583ull);
+  EXPECT_EQ(PayloadChecksum(TestBytes(kMiB + 1, kMiB + 1)),
+            0x61decd67a8e0eeb0ull);
+  // 1 MiB + 1 to 2 MiB - 1 are hashed serially, 2 MiB and up across the
+  // pool; 16 MiB + 29 B is the stream push payload.
+  for (size_t n : {kMiB + 1, 2 * kMiB - 1, 2 * kMiB, 2 * kMiB + 1,
+                   16 * kMiB + 29}) {
+    const std::string bytes = TestBytes(n, n);
+    EXPECT_EQ(PayloadChecksum(bytes), SerialChunkedChecksum(bytes)) << n;
+  }
+}
+
 // The gRPC server checks flattened bytes against the sum the client took
 // over the view, so a view must hash exactly like its Flatten(). Head and
 // body lengths straddle the 32-byte stripe and the partial stripe carried
 // from head to body; a nonzero view offset starts the body unaligned.
+// Bodies near 1 and 2 MiB put chunk boundaries in the view, and with a head
+// the first chunk spans the head and the view.
 TEST(WireChecksumTest, ViewHashesLikeItsFlattenedBytes) {
-  const size_t kBodies[] = {0, 1, 31, 32, 33, 63, 64, 65, 1000};
+  const size_t kBodies[] = {0,       1,           31,      32,
+                            33,      63,          64,      65,
+                            1000,    kMiB - 7,    kMiB,    2 * kMiB - 7,
+                            2 * kMiB + 1};
   const size_t kOffsets[] = {0, 5};
+  std::vector<size_t> every_head(41);
+  for (size_t head = 0; head <= 40; ++head) every_head[head] = head;
+  const std::vector<size_t> few_heads = {0, 7, 40};
   for (size_t body : kBodies) {
     for (size_t offset : kOffsets) {
       const std::string bytes = TestBytes(offset + body + 1, body);
       auto buffer = Buffer::Allocate(bytes.size());
       std::memcpy(buffer->data(), bytes.data(), bytes.size());
-      for (size_t head = 0; head <= 40; ++head) {
+      for (size_t head : body < kMiB - 7 ? every_head : few_heads) {
         const PayloadRef view =
             PayloadRef::View(TestBytes(head, head + 100), buffer, offset, body);
         const std::string flat = view.Flatten();
@@ -590,6 +646,18 @@ TEST(WireChecksumTest, EverySingleBitFlipChangesTheSum) {
       bytes[i] = static_cast<char>(bytes[i] ^ (1 << bit));
       ASSERT_NE(PayloadChecksum(bytes), clean) << "byte " << i << " bit " << bit;
       bytes[i] = static_cast<char>(bytes[i] ^ (1 << bit));
+    }
+  }
+  // Four chunks, hashed across the pool: flips at both sides of the first
+  // chunk boundary, at the start of the third chunk and in the short last.
+  std::string chunked = TestBytes(3 * kMiB + 5, 8);
+  const uint64_t chunked_clean = PayloadChecksum(chunked);
+  for (size_t i : {size_t{0}, kMiB - 1, kMiB, 2 * kMiB, chunked.size() - 1}) {
+    for (int bit = 0; bit < 8; ++bit) {
+      chunked[i] = static_cast<char>(chunked[i] ^ (1 << bit));
+      ASSERT_NE(PayloadChecksum(chunked), chunked_clean)
+          << "byte " << i << " bit " << bit;
+      chunked[i] = static_cast<char>(chunked[i] ^ (1 << bit));
     }
   }
 }
