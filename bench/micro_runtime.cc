@@ -84,7 +84,7 @@ void BM_CsePass(benchmark::State& state) {
   for (int i = 0; i < 200; ++i) ops::Add(s, c, c);  // 200 duplicates
   const wire::GraphDef def = g.ToGraphDef();
   for (auto _ : state) {
-    auto out = CommonSubexpressionElimination(def);
+    auto out = CommonSubexpressionElimination(def, /*keep=*/{});
     benchmark::DoNotOptimize(out.ok());
   }
 }

@@ -101,8 +101,8 @@ echo "==== memplan ablation: bit-identical, bounds sound, allocs reduced ===="
 # ctest -R filters of the sanitizer legs below. Every '|' term must match at
 # least one test of the tier-1 build (which registers the same tests as the
 # sanitizer builds), so a renamed suite cannot drop out of a leg silently.
-tsan_filter='ExecutableCache|DistSession|DistStep|FaultTolerance|StepRecovery|JobRecovery|Liveness|Rendezvous|BufferPool|Serving|CancellationToken|Oom|Optimizer|Fused|Coalesce|ThreadPool|WireChecksum|VariableAccumulate'
-asan_filter='BufferPool|OutputBuffer|TensorBuffer|MemplanRuntime|Transport|ServerTest|Checkpoint|TensorProto|WireChecksum|PayloadRef|RpcEnvelope|WireFuzz|ServerFuzz|Npy|Oom|Fused|Coalesce|Gemm'
+tsan_filter='ExecutableCache|DistSession|DistStep|FaultTolerance|StepRecovery|JobRecovery|Liveness|Rendezvous|BufferPool|Serving|CancellationToken|Oom|Optimizer|Fused|SharedConsumerSend|ThreadPool|WireChecksum|VariableAccumulate'
+asan_filter='BufferPool|OutputBuffer|TensorBuffer|MemplanRuntime|Transport|ServerTest|Checkpoint|TensorProto|WireChecksum|PayloadRef|RpcEnvelope|WireFuzz|ServerFuzz|Npy|Oom|Fused|SharedConsumerSend|Gemm'
 ubsan_filter='Gemm|Gemv|Fft|Reduction|ArrayKernel|KernelSession|Tensor|Shape|DType|Status|GraphCheck|ShapeInference|PlannedOutput|Wire|Optimizer|Fused'
 echo "==== sanitizer filters: every term matches a test ===="
 for filter in "$tsan_filter" "$asan_filter" "$ubsan_filter"; do

@@ -1,26 +1,14 @@
 #include "analysis/liveness.h"
 
 #include <algorithm>
-#include <cctype>
 #include <deque>
 #include <set>
 
 #include "core/dtype.h"
-#include "graph/op_def.h"
+#include "graph/graph.h"
 
 namespace tfhpc::analysis {
 namespace {
-
-// Mirrors the executor/verifier rule: only a trailing all-digit suffix is a
-// slot (node names may embed "host:port" addresses).
-std::pair<std::string, int> SplitTensorName(const std::string& s) {
-  const size_t colon = s.rfind(':');
-  if (colon == std::string::npos || colon + 1 == s.size()) return {s, 0};
-  for (size_t i = colon + 1; i < s.size(); ++i) {
-    if (!std::isdigit(static_cast<unsigned char>(s[i]))) return {s, 0};
-  }
-  return {s.substr(0, colon), std::stoi(s.substr(colon + 1))};
-}
 
 struct Edge {
   int producer = -1;  // graph index
@@ -75,7 +63,7 @@ Result<LivenessAnalysis> LivenessAnalysis::Compute(
 
   std::set<std::string> fed_names;
   for (const std::string& f : options.feeds) {
-    fed_names.insert(SplitTensorName(f).first);
+    fed_names.insert(ParseTensorRef(f).name);
   }
 
   // Resolved inputs per graph node; fed nodes get none (cut points).
@@ -84,20 +72,16 @@ Result<LivenessAnalysis> LivenessAnalysis::Compute(
     const wire::NodeDef& nd = def.nodes[i];
     if (fed_names.count(nd.name)) continue;
     for (const std::string& input : nd.inputs) {
-      Edge e;
-      std::string name = input;
-      if (!name.empty() && name[0] == '^') {
-        e.control = true;
-        name = name.substr(1);
-      }
-      const auto [base, slot] = SplitTensorName(name);
-      auto it = by_name.find(base);
-      if (it == by_name.end()) {
+      const TensorRef ref = ParseTensorRef(input);
+      auto it = by_name.find(ref.name);
+      if (ref.slot < 0 || it == by_name.end()) {
         return InvalidArgument("liveness: node '" + nd.name +
                                "' input '" + input + "' does not resolve");
       }
+      Edge e;
       e.producer = it->second;
-      e.slot = e.control ? 0 : slot;
+      e.slot = ref.slot;
+      e.control = ref.control;
       edges[i].push_back(e);
     }
   }
@@ -108,7 +92,7 @@ Result<LivenessAnalysis> LivenessAnalysis::Compute(
   if (!whole_graph) {
     std::deque<int> work;
     auto add_root = [&](const std::string& ref) -> Status {
-      auto it = by_name.find(SplitTensorName(ref).first);
+      auto it = by_name.find(ParseTensorRef(ref).name);
       if (it == by_name.end()) {
         return InvalidArgument("liveness: root '" + ref +
                                "' names no graph node");
@@ -203,7 +187,8 @@ Result<LivenessAnalysis> LivenessAnalysis::Compute(
   // ---- per-tensor lives -----------------------------------------------------
   std::set<std::pair<std::string, int>> fetched;
   for (const std::string& f : options.fetches) {
-    fetched.insert(SplitTensorName(f));
+    const TensorRef ref = ParseTensorRef(f);
+    fetched.emplace(ref.name, ref.slot);
   }
 
   live.node_tensors_.resize(n);

@@ -401,21 +401,6 @@ Status QueueDequeueFn(InferenceContext& c) {
 
 Status SendFn(InferenceContext& c) { return c.StringAttr("key").status(); }
 
-// _PackedSend: one '\x1f'-separated rendezvous key per input.
-Status PackedSendFn(InferenceContext& c) {
-  TFHPC_ASSIGN_OR_RETURN(std::string keys, c.StringAttr("keys"));
-  int num_keys = keys.empty() ? 0 : 1;
-  for (char ch : keys) {
-    if (ch == '\x1f') ++num_keys;
-  }
-  if (num_keys != c.num_inputs()) {
-    return c.AttrError("'keys' lists " + std::to_string(num_keys) +
-                       " rendezvous keys for " +
-                       std::to_string(c.num_inputs()) + " inputs");
-  }
-  return Status::OK();
-}
-
 Status RecvFn(InferenceContext& c) {
   TFHPC_RETURN_IF_ERROR(c.StringAttr("key").status());
   c.set_output(0, DType::kInvalid, InferredShape::Unknown());
@@ -548,7 +533,6 @@ ShapeFnRegistry::ShapeFnRegistry() {
   Register("QueueEnqueue", QueueEnqueueFn);
   Register("QueueDequeue", QueueDequeueFn);
   Register("_Send", SendFn);
-  Register("_PackedSend", PackedSendFn);
   Register("_Recv", RecvFn);
   Register("NoOp", NoOpFn);
   // Deliberately-dynamic allowlist: currently empty — every built-in op has

@@ -1,27 +1,13 @@
 #include "analysis/verifier.h"
 
-#include <cctype>
 #include <deque>
 #include <set>
 
 #include "core/device_name.h"
-#include "graph/op_def.h"
+#include "graph/graph.h"
 
 namespace tfhpc::analysis {
 namespace {
-
-// Normalizes "name" / "name:slot" into (name, slot), mirroring the
-// executor: only a trailing all-digit suffix counts as a slot, since node
-// names may themselves contain colons (partitioner-generated sends embed
-// "host:port" addresses).
-std::pair<std::string, int> SplitTensorName(const std::string& s) {
-  const size_t colon = s.rfind(':');
-  if (colon == std::string::npos || colon + 1 == s.size()) return {s, 0};
-  for (size_t i = colon + 1; i < s.size(); ++i) {
-    if (!std::isdigit(static_cast<unsigned char>(s[i]))) return {s, 0};
-  }
-  return {s.substr(0, colon), std::stoi(s.substr(colon + 1))};
-}
 
 struct ResolvedEdge {
   int producer = -1;
@@ -116,19 +102,14 @@ class GraphChecker {
       std::set<int> control_producers;
       int data_inputs = 0;
       for (const std::string& input : nd.inputs) {
+        const TensorRef ref = ParseTensorRef(input);
+        const std::string& name = ref.name;
         ResolvedEdge e;
-        std::string name = input;
-        if (!name.empty() && name[0] == '^') {
-          e.control = true;
-          name = name.substr(1);
-        } else {
-          const auto [base, slot] = SplitTensorName(name);
-          name = base;
-          e.slot = slot;
-          ++data_inputs;
-        }
+        e.control = ref.control;
+        e.slot = ref.slot;
+        if (!e.control) ++data_inputs;
         auto it = by_name_.find(name);
-        if (it == by_name_.end()) {
+        if (ref.slot < 0 || it == by_name_.end()) {
           Emit(Severity::kError, "GC003", nd.name,
                "input '" + input + "' does not resolve to any node",
                "check the producer's name");
@@ -314,7 +295,7 @@ class GraphChecker {
     in_closure_.assign(n, false);
     fed_.assign(n, false);
     for (const std::string& f : options_.feeds) {
-      auto it = by_name_.find(SplitTensorName(f).first);
+      auto it = by_name_.find(ParseTensorRef(f).name);
       if (it != by_name_.end()) fed_[static_cast<size_t>(it->second)] = true;
     }
 
@@ -328,7 +309,7 @@ class GraphChecker {
     roots.insert(roots.end(), options_.targets.begin(),
                  options_.targets.end());
     for (const std::string& r : roots) {
-      const std::string name = SplitTensorName(r).first;
+      const std::string name = ParseTensorRef(r).name;
       auto it = by_name_.find(name);
       if (it == by_name_.end()) {
         Emit(Severity::kError, "GC003", name,
@@ -591,39 +572,6 @@ std::vector<Diagnostic> VerifyPartitions(
 
   for (const auto& [addr, part] : partitions) {
     for (const wire::NodeDef& nd : part.nodes) {
-      if (nd.op == "_PackedSend") {
-        // A coalesced send is one endpoint per '\x1f'-separated key: each
-        // must pair with a _Recv in the target partition, exactly as if the
-        // keys were separate _Sends.
-        auto keys = nd.attrs.find("keys");
-        if (keys == nd.attrs.end() ||
-            keys->second.kind != wire::AttrValue::Kind::kString ||
-            keys->second.s.empty()) {
-          diags.push_back({Severity::kError, "GC017", nd.name,
-                           "_PackedSend in partition " + addr +
-                               " is missing its 'keys' attr",
-                           "the partitioner must stamp the rendezvous keys"});
-          continue;
-        }
-        auto target = nd.attrs.find("target");
-        const std::string t =
-            target != nd.attrs.end() &&
-                    target->second.kind == wire::AttrValue::Kind::kString
-                ? target->second.s
-                : "";
-        const std::string& joined = keys->second.s;
-        size_t start = 0;
-        while (start <= joined.size()) {
-          const size_t sep = joined.find('\x1f', start);
-          const std::string key = joined.substr(
-              start, sep == std::string::npos ? sep : sep - start);
-          sends.push_back({addr, nd.name, key, t});
-          send_targets[key].insert(t);
-          if (sep == std::string::npos) break;
-          start = sep + 1;
-        }
-        continue;
-      }
       if (nd.op != "_Send" && nd.op != "_Recv") continue;
       auto key = nd.attrs.find("key");
       if (key == nd.attrs.end() ||

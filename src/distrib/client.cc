@@ -173,22 +173,6 @@ Status RemoteTask::ExtendGraph(const wire::GraphDef& def) {
   return r.ok() ? Status::OK() : r.status();
 }
 
-Result<std::vector<Tensor>> RemoteTask::RunStep(
-    const std::map<std::string, Tensor>& feeds,
-    const std::vector<std::string>& fetches,
-    const std::vector<std::string>& targets, bool simulate,
-    CancellationToken* token) {
-  RunStepRequest req;
-  req.feeds = feeds;
-  req.fetches = fetches;
-  req.targets = targets;
-  req.simulate = simulate;
-  TFHPC_ASSIGN_OR_RETURN(wire::PayloadRef payload,
-                         Call("RunStep", req.Serialize(), token));
-  std::string scratch;
-  return DecodeTensorList(payload.Contiguous(&scratch));
-}
-
 Result<uint64_t> RemoteTask::RegisterStep(
     const std::vector<std::string>& feed_names,
     const std::vector<std::string>& fetches,

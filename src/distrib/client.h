@@ -66,15 +66,11 @@ class RemoteTask {
 
   // -- graphs / steps ------------------------------------------------------------
   Status ExtendGraph(const wire::GraphDef& def);
-  Result<std::vector<Tensor>> RunStep(
-      const std::map<std::string, Tensor>& feeds,
-      const std::vector<std::string>& fetches,
-      const std::vector<std::string>& targets = {}, bool simulate = false,
-      CancellationToken* token = nullptr);
-  // Compile-once steps: registers a run signature (feed *names*, fetches,
-  // targets) with the task, which compiles it into an Executable and
-  // returns a step handle for RunRegisteredStep. Fails with kNotFound once
-  // the task restarts or evicts the handle — re-register and retry.
+  // Compile-once steps, the only way to run a step remotely: registers a
+  // run signature (feed *names*, fetches, targets) with the task, which
+  // compiles it into an Executable and returns a step handle for
+  // RunRegisteredStep. Fails with kNotFound once the task restarts or
+  // evicts the handle — re-register and retry.
   Result<uint64_t> RegisterStep(const std::vector<std::string>& feed_names,
                                 const std::vector<std::string>& fetches,
                                 const std::vector<std::string>& targets = {},

@@ -115,14 +115,11 @@ Result<std::unique_ptr<DistributedSession>> DistributedSession::Create(
 
   TFHPC_ASSIGN_OR_RETURN(std::unique_ptr<Graph> graph,
                          Graph::FromGraphDef(working));
-  PartitionOptions popts;
-  popts.coalesce_sends = options.coalesce_sends;
-  TFHPC_ASSIGN_OR_RETURN(
-      PartitionResult parts,
-      PartitionGraph(*graph, cluster, default_device, popts));
+  TFHPC_ASSIGN_OR_RETURN(PartitionResult parts,
+                         PartitionGraph(*graph, cluster, default_device));
 
   std::unique_ptr<DistributedSession> session(new DistributedSession(
-      router, protocol, cluster, working, default_device, options));
+      router, protocol, cluster, working, default_device));
   TFHPC_RETURN_IF_ERROR(
       session->ShipPartitions(parts, RetryPolicy::NoRetry()));
   return session;
@@ -226,9 +223,7 @@ DistributedSession::GetOrBuildStepPlan(
   // is not executed anywhere in the cluster.
   std::set<std::string> fed;
   for (const auto& [feed_key, tensor] : feeds) {
-    std::string name = feed_key;
-    const size_t colon = name.find(':');
-    if (colon != std::string::npos) name = name.substr(0, colon);
+    std::string name = ParseTensorRef(feed_key).name;
     if (!node_task_.count(name)) {
       return NotFound("feed of unknown node " + feed_key);
     }
@@ -243,9 +238,7 @@ DistributedSession::GetOrBuildStepPlan(
   std::set<std::string> closure;
   std::vector<std::string> stack;
   for (const std::string& fetch : fetches) {
-    std::string name = fetch;
-    const size_t colon = name.find(':');
-    if (colon != std::string::npos) name = name.substr(0, colon);
+    std::string name = ParseTensorRef(fetch).name;
     if (!node_task_.count(name)) {
       return NotFound("fetch of unknown node " + fetch);
     }
@@ -259,11 +252,7 @@ DistributedSession::GetOrBuildStepPlan(
     auto it = by_name.find(name);
     if (it == by_name.end()) continue;
     for (const std::string& input : it->second->inputs) {
-      std::string in_name = input;
-      if (!in_name.empty() && in_name[0] == '^') in_name = in_name.substr(1);
-      const size_t colon = in_name.find(':');
-      if (colon != std::string::npos) in_name = in_name.substr(0, colon);
-      stack.push_back(std::move(in_name));
+      stack.push_back(ParseTensorRef(input).name);
     }
   }
 
@@ -299,20 +288,15 @@ DistributedSession::GetOrBuildStepPlan(
     }
   }
   for (size_t i = 0; i < fetches.size(); ++i) {
-    std::string name = fetches[i];
-    const size_t colon = name.find(':');
-    if (colon != std::string::npos) name = name.substr(0, colon);
-    CompiledStep::Part& part = part_for(node_task_.at(name));
+    CompiledStep::Part& part =
+        part_for(node_task_.at(ParseTensorRef(fetches[i]).name));
     part.fetches.push_back(fetches[i]);
     part.fetch_positions.push_back(i);
   }
   // Feeds go to the owning partition — but only if that partition has work
   // (a feed nobody in the closure consumes is simply dropped).
   for (const auto& [feed_key, tensor] : feeds) {
-    std::string name = feed_key;
-    const size_t colon = name.find(':');
-    if (colon != std::string::npos) name = name.substr(0, colon);
-    const std::string& addr = node_task_.at(name);
+    const std::string& addr = node_task_.at(ParseTensorRef(feed_key).name);
     auto it = part_index.find(addr);
     if (it == part_index.end()) continue;
     plan->parts[it->second].feed_keys.push_back(feed_key);
@@ -712,11 +696,8 @@ Status DistributedSession::EvictAndRebuild(const std::string& dead_addr,
   // and ship the diff: survivors receive only nodes they don't have yet.
   TFHPC_ASSIGN_OR_RETURN(std::unique_ptr<Graph> graph,
                          Graph::FromGraphDef(def_));
-  PartitionOptions popts;
-  popts.coalesce_sends = options_.coalesce_sends;
-  TFHPC_ASSIGN_OR_RETURN(
-      PartitionResult parts,
-      PartitionGraph(*graph, cluster_, default_device_, popts));
+  TFHPC_ASSIGN_OR_RETURN(PartitionResult parts,
+                         PartitionGraph(*graph, cluster_, default_device_));
   TFHPC_RETURN_IF_ERROR(ShipPartitions(parts, recovery.rpc_retry));
 
   if (recovery.health != nullptr && !spare.empty()) {

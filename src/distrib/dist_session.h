@@ -52,8 +52,8 @@
 
 namespace tfhpc::distrib {
 
-// Graph-level options for DistributedSession::Create. Both knobs survive
-// job-level recovery: EvictAndRebuild re-partitions with the same options.
+// Graph-level options for DistributedSession::Create. They shape the
+// optimized client graph once; job-level recovery re-partitions that graph.
 struct DistSessionOptions {
   // Run the optimizer pipeline (src/optimizer) over the client graph before
   // partitioning, in whole-graph mode: every terminal and stateful node is
@@ -65,9 +65,6 @@ struct DistSessionOptions {
   // never merges or fuses these away (fetching a name CSE removed would
   // otherwise fail with NotFound at Run time).
   std::vector<std::string> preserve_nodes;
-  // Merge same-(source, destination, consumer-set) data sends into packed
-  // single-RPC transfers (see PartitionOptions::coalesce_sends).
-  bool coalesce_sends = false;
 };
 
 // Knobs for fault-tolerant Run. The defaults reproduce the historical
@@ -166,8 +163,8 @@ class DistributedSession {
       WireProtocol protocol, const wire::GraphDef& def,
       const DeviceName& default_device);
 
-  // As above, plus graph-level options: optimizer pipeline before
-  // partitioning and packed-send coalescing during it.
+  // As above, plus graph-level options: the optimizer pipeline runs over
+  // the client graph before partitioning.
   static Result<std::unique_ptr<DistributedSession>> Create(
       InProcessRouter* router, const ClusterSpec& cluster,
       WireProtocol protocol, const wire::GraphDef& def,
@@ -216,13 +213,12 @@ class DistributedSession {
  private:
   DistributedSession(InProcessRouter* router, WireProtocol protocol,
                      ClusterSpec cluster, wire::GraphDef def,
-                     DeviceName default_device, DistSessionOptions options)
+                     DeviceName default_device)
       : router_(router),
         protocol_(protocol),
         cluster_(std::move(cluster)),
         def_(std::move(def)),
-        default_device_(default_device),
-        options_(std::move(options)) {}
+        default_device_(default_device) {}
 
   struct Partition {
     std::string addr;
@@ -305,7 +301,6 @@ class DistributedSession {
   ClusterSpec cluster_;
   wire::GraphDef def_;          // current graph (devices rewritten on shrink)
   DeviceName default_device_;
-  DistSessionOptions options_;  // partitioning options, reused on rebuilds
   std::vector<Partition> partitions_;
   std::map<std::string, std::string> node_task_;
   // Producer task -> its _Send nodes (for pruned step targeting).

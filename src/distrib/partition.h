@@ -1,9 +1,11 @@
 // Graph partitioning: split one graph whose nodes are placed on different
 // tasks ("/job:worker/task:1/gpu:0") into per-task subgraphs, inserting
 // matched _Send/_Recv pairs at every cross-task edge — exactly what
-// TensorFlow's distributed runtime does before execution. Data edges become
-// tensor sends; control edges become token sends (a zero scalar gated on
-// the producer).
+// TensorFlow's distributed runtime does before execution. There is one pair
+// per (producer, slot, destination task), however many consumers share it,
+// and each pair crosses the wire on its own. Data edges become tensor
+// sends; control edges become token sends (a zero scalar gated on the
+// producer).
 #pragma once
 
 #include <map>
@@ -36,28 +38,10 @@ struct PartitionResult {
   std::map<std::string, std::vector<SendDef>> sends;
 };
 
-struct PartitionOptions {
-  // Merge the data _Sends between one (source task, destination task) pair
-  // that share an identical consumer set into a single variadic _PackedSend
-  // node shipping all their tensors in one wire transfer. Grouping by
-  // consumer set is what keeps pruning sound: the step planner activates a
-  // send iff some consumer is in the fetch closure and not fed, so every
-  // key in a packed group is active exactly when its _Recv is — no key can
-  // be shipped into a partition whose pruned step never receives it.
-  // Control-token sends are never packed (they are one scalar each and
-  // their gating differs per producer). The _Recv side is unchanged.
-  bool coalesce_sends = false;
-};
-
 // Splits `graph`. Every node's device spec is merged with `default_device`
 // (which must carry a job and task) and the resulting job/task must exist
 // in `cluster`. Rendezvous keys are derived from edge names, so repeated
 // partitioning of the same graph is deterministic.
-Result<PartitionResult> PartitionGraph(const Graph& graph,
-                                       const ClusterSpec& cluster,
-                                       const DeviceName& default_device,
-                                       const PartitionOptions& options);
-
 Result<PartitionResult> PartitionGraph(const Graph& graph,
                                        const ClusterSpec& cluster,
                                        const DeviceName& default_device);

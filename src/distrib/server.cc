@@ -3,6 +3,7 @@
 #include <chrono>
 #include <optional>
 
+#include "distrib/client.h"
 #include "wire/coded.h"
 
 namespace tfhpc::distrib {
@@ -80,8 +81,6 @@ std::string RunStepRequest::Serialize() const {
     eo.WriteMessage(2, wire::SerializeTensor(tensor));
     co.WriteMessage(1, entry);
   }
-  for (const auto& f : fetches) co.WriteString(2, f);
-  for (const auto& t : targets) co.WriteString(3, t);
   co.WriteBool(4, simulate);
   if (step_handle != 0) co.WriteUInt64(5, step_handle);
   return out;
@@ -118,18 +117,6 @@ Result<RunStepRequest> RunStepRequest::Parse(std::string_view payload) {
           }
         }
         req.feeds.emplace(std::move(name), std::move(tensor));
-        break;
-      }
-      case 2: {
-        std::string s;
-        TFHPC_RETURN_IF_ERROR(in.ReadString(&s));
-        req.fetches.push_back(std::move(s));
-        break;
-      }
-      case 3: {
-        std::string s;
-        TFHPC_RETURN_IF_ERROR(in.ReadString(&s));
-        req.targets.push_back(std::move(s));
         break;
       }
       case 4: {
@@ -378,83 +365,6 @@ Result<std::map<std::string, Tensor>> DecodeNamedTensors(
   return vars;
 }
 
-namespace {
-
-// Packed rendezvous send frame (_PackedSend): all but the last tensor are
-// serialized inline as (key, tensor) entries (field 1); the last rides the
-// trailing-view idiom — field 2 is its key, field 3 its tensor view — so
-// the largest zero-copy path the transport offers still applies to one
-// member of the group.
-wire::PayloadRef EncodePackedSendPayload(const std::vector<std::string>& keys,
-                                         const std::vector<Tensor>& tensors) {
-  std::string head;
-  wire::CodedOutput co(&head);
-  for (size_t i = 0; i + 1 < keys.size(); ++i) {
-    std::string entry;
-    wire::CodedOutput eo(&entry);
-    eo.WriteString(1, keys[i]);
-    eo.WriteMessage(2, wire::SerializeTensor(tensors[i]));
-    co.WriteMessage(1, entry);
-  }
-  co.WriteString(2, keys.back());
-  return FinishWithTensorView(std::move(head), 3, tensors.back());
-}
-
-Status DecodePackedSendPayload(const wire::PayloadRef& payload,
-                               std::vector<std::string>* keys,
-                               std::vector<Tensor>* tensors) {
-  wire::CodedInput in(payload.first_range());
-  std::string last_key;
-  Tensor last_tensor;
-  while (!in.AtEnd()) {
-    uint32_t field;
-    wire::WireType wt;
-    TFHPC_RETURN_IF_ERROR(in.ReadTag(&field, &wt));
-    if (field == 1) {
-      const uint8_t* d;
-      size_t s;
-      TFHPC_RETURN_IF_ERROR(in.ReadBytesView(&d, &s));
-      wire::CodedInput ein(d, s);
-      std::string key;
-      Tensor tensor;
-      while (!ein.AtEnd()) {
-        uint32_t ef;
-        wire::WireType ewt;
-        TFHPC_RETURN_IF_ERROR(ein.ReadTag(&ef, &ewt));
-        if (ef == 1) {
-          TFHPC_RETURN_IF_ERROR(ein.ReadString(&key));
-        } else if (ef == 2) {
-          const uint8_t* td;
-          size_t ts;
-          TFHPC_RETURN_IF_ERROR(ein.ReadBytesView(&td, &ts));
-          TFHPC_ASSIGN_OR_RETURN(tensor, wire::ParseTensor(td, ts));
-        } else {
-          TFHPC_RETURN_IF_ERROR(ein.SkipField(ewt));
-        }
-      }
-      if (key.empty()) {
-        return InvalidArgument("packed send entry without key");
-      }
-      keys->push_back(std::move(key));
-      tensors->push_back(std::move(tensor));
-    } else if (field == 2) {
-      TFHPC_RETURN_IF_ERROR(in.ReadString(&last_key));
-    } else if (field == 3 && wt == wire::WireType::kLengthDelimited) {
-      TFHPC_RETURN_IF_ERROR(ReadTensorField(payload, in, &last_tensor));
-    } else {
-      TFHPC_RETURN_IF_ERROR(in.SkipField(wt));
-    }
-  }
-  if (last_key.empty() || !last_tensor.valid()) {
-    return InvalidArgument("packed send payload without trailing tensor");
-  }
-  keys->push_back(std::move(last_key));
-  tensors->push_back(std::move(last_tensor));
-  return Status::OK();
-}
-
-}  // namespace
-
 // ----- Server ----------------------------------------------------------------
 
 Result<std::unique_ptr<Server>> Server::Create(ServerDef def,
@@ -470,23 +380,12 @@ Result<std::unique_ptr<Server>> Server::Create(ServerDef def,
   return server;
 }
 
-namespace {
-// Server-side client identities for outgoing rendezvous sends. Shares the
-// id space with RemoteTask clients (both are "clients" to the receiver);
-// starts high to stay visibly distinct in traces.
-uint64_t NextServerClientId() {
-  static std::atomic<uint64_t> next{1u << 20};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
-}  // namespace
-
 Server::Server(ServerDef def, InProcessRouter* router, std::string address)
     : def_(std::move(def)),
       router_(router),
       address_(std::move(address)),
       replay_cache_(ReplayCacheOptions{def_.replay_cache_entries,
-                                       def_.replay_cache_ttl_ms}),
-      send_client_id_(NextServerClientId()) {
+                                       def_.replay_cache_ttl_ms}) {
   devices_ = DeviceMgr::CreateLocal(def_.job, def_.task, def_.num_gpus,
                                     def_.gpu_model);
   if (def_.alloc_faults.enabled()) {
@@ -505,65 +404,16 @@ Server::Server(ServerDef def, InProcessRouter* router, std::string address)
       std::max<size_t>(1, def_.max_registered_steps));
   // Give kernels a path to remote rendezvous (_Send with a target): a
   // RendezvousSend RPC over this server's configured protocol, retried
-  // under def.send_retry. The receiver dedups on (client_id, request_id),
-  // so a retry after a lost response does not double-deposit the tensor.
+  // under def.send_retry. Each send is its own RemoteTask, so it carries
+  // its own client id and its retries reuse (client_id, request_id): the
+  // receiver's replay cache answers a retry after a lost response instead
+  // of depositing the tensor twice.
   resources_.set_remote_send([this](const std::string& addr,
                                     const std::string& key,
                                     const Tensor& tensor) -> Status {
-    wire::RpcEnvelope req;
-    req.method = "RendezvousSend";
-    req.client_id = send_client_id_;
-    req.request_id =
-        next_send_request_id_.fetch_add(1, std::memory_order_relaxed);
-    // View payload: over RDMA the tensor bytes cross by buffer reference
-    // (end-to-end zero-copy _Send); MPI stages them once; gRPC flattens.
-    req.payload = EncodeQueuePayloadView(key, &tensor, 0);
-    req.checksum = wire::PayloadChecksum(req.payload);
-    return CallWithRetry(def_.send_retry, req.request_id, [&]() -> Status {
-      TFHPC_ASSIGN_OR_RETURN(wire::RpcEnvelope resp,
-                             router_->Call(addr, def_.protocol, req));
-      if (resp.status_code != 0) {
-        Status st(static_cast<Code>(resp.status_code), resp.status_msg);
-        // Re-apply the wire transient bit (authoritative over the message).
-        if (resp.transient && st.code() == Code::kResourceExhausted) {
-          st = TransientResourceExhausted(resp.status_msg);
-        }
-        return st;
-      }
-      return Status::OK();
-    });
+    return RemoteTask(router_, addr, def_.protocol, def_.send_retry)
+        .RendezvousSend(key, tensor);
   });
-  // Batched variant for _PackedSend: every coalesced key/tensor pair of a
-  // cross-task group crosses in ONE RendezvousSendPacked RPC. Same dedup
-  // and retry contract as the scalar path: the receiver's replay cache
-  // keyed on (client_id, request_id) answers a retried frame from the
-  // cached response instead of re-depositing.
-  resources_.set_remote_send_packed(
-      [this](const std::string& addr, const std::vector<std::string>& keys,
-             const std::vector<Tensor>& tensors) -> Status {
-        if (keys.empty() || keys.size() != tensors.size()) {
-          return InvalidArgument("packed send needs matching keys/tensors");
-        }
-        wire::RpcEnvelope req;
-        req.method = "RendezvousSendPacked";
-        req.client_id = send_client_id_;
-        req.request_id =
-            next_send_request_id_.fetch_add(1, std::memory_order_relaxed);
-        req.payload = EncodePackedSendPayload(keys, tensors);
-        req.checksum = wire::PayloadChecksum(req.payload);
-        return CallWithRetry(def_.send_retry, req.request_id, [&]() -> Status {
-          TFHPC_ASSIGN_OR_RETURN(wire::RpcEnvelope resp,
-                                 router_->Call(addr, def_.protocol, req));
-          if (resp.status_code != 0) {
-            Status st(static_cast<Code>(resp.status_code), resp.status_msg);
-            if (resp.transient && st.code() == Code::kResourceExhausted) {
-              st = TransientResourceExhausted(resp.status_msg);
-            }
-            return st;
-          }
-          return Status::OK();
-        });
-      });
 }
 
 void Server::Shutdown() {
@@ -726,40 +576,37 @@ Result<wire::PayloadRef> Server::Dispatch(const std::string& method,
   if (method == "RunStep") {
     TFHPC_ASSIGN_OR_RETURN(RunStepRequest req, RunStepRequest::Parse(
                                payload.Contiguous(&flat_scratch)));
+    // A step runs only by handle: its fetches and targets were fixed, and
+    // compiled, at RegisterStep.
+    if (req.step_handle == 0) {
+      return InvalidArgument(
+          "RunStep without a step handle; register the step first");
+    }
     RunOptions options;
     options.simulate = req.simulate;
     options.cancellation = token;
     options.step_memory_limit_bytes = def_.step_memory_limit_bytes;
-    std::shared_ptr<const Executable> exe;
-    if (req.step_handle != 0) {
-      RegisteredStep step;
-      {
-        std::lock_guard<std::mutex> lk(steps_mu_);
-        auto it = registered_steps_.find(req.step_handle);
-        if (it == registered_steps_.end()) {
-          return NotFound("unknown step handle " +
-                          std::to_string(req.step_handle) +
-                          " (worker restarted or handle evicted); "
-                          "re-register the step");
-        }
-        step = it->second;
+    RegisteredStep step;
+    {
+      std::lock_guard<std::mutex> lk(steps_mu_);
+      auto it = registered_steps_.find(req.step_handle);
+      if (it == registered_steps_.end()) {
+        return NotFound("unknown step handle " +
+                        std::to_string(req.step_handle) +
+                        " (worker restarted or handle evicted); "
+                        "re-register the step");
       }
-      exe = step.executable;
-      if (exe->stale(graph_)) {
-        // The graph was extended after this step compiled: recompile the
-        // registered signature transparently and re-pin the handle.
-        TFHPC_ASSIGN_OR_RETURN(
-            exe, PrepareLocked(step.feeds, step.fetches, step.targets));
-        std::lock_guard<std::mutex> lk(steps_mu_);
-        auto it = registered_steps_.find(req.step_handle);
-        if (it != registered_steps_.end()) it->second.executable = exe;
-      }
-    } else {
-      std::vector<std::string> feed_keys;
-      feed_keys.reserve(req.feeds.size());
-      for (const auto& [key, tensor] : req.feeds) feed_keys.push_back(key);
+      step = it->second;
+    }
+    std::shared_ptr<const Executable> exe = step.executable;
+    if (exe->stale(graph_)) {
+      // The graph was extended after this step compiled: recompile the
+      // registered signature transparently and re-pin the handle.
       TFHPC_ASSIGN_OR_RETURN(
-          exe, PrepareLocked(feed_keys, req.fetches, req.targets));
+          exe, PrepareLocked(step.feeds, step.fetches, step.targets));
+      std::lock_guard<std::mutex> lk(steps_mu_);
+      auto it = registered_steps_.find(req.step_handle);
+      if (it != registered_steps_.end()) it->second.executable = exe;
     }
     // Admission control: bounded in-flight steps with per-client fairness
     // AND a byte budget charged the memory planner's static peak (an upper
@@ -867,17 +714,6 @@ Result<wire::PayloadRef> Server::Dispatch(const std::string& method,
         DecodeQueuePayloadView(payload, &key, &tensor, &capacity));
     if (!tensor.valid()) return InvalidArgument("RendezvousSend without tensor");
     TFHPC_RETURN_IF_ERROR(resources_.rendezvous().Send(key, std::move(tensor)));
-    return wire::PayloadRef();
-  }
-
-  if (method == "RendezvousSendPacked") {
-    std::vector<std::string> keys;
-    std::vector<Tensor> tensors;
-    TFHPC_RETURN_IF_ERROR(DecodePackedSendPayload(payload, &keys, &tensors));
-    for (size_t i = 0; i < keys.size(); ++i) {
-      TFHPC_RETURN_IF_ERROR(
-          resources_.rendezvous().Send(keys[i], std::move(tensors[i])));
-    }
     return wire::PayloadRef();
   }
 

@@ -10,12 +10,12 @@
 //   RegisterStep— payload: RegisterStepRequest (feed names + fetches +
 //                 targets); compiles the signature once into an Executable
 //                 and returns a step handle (RegisterStepResponse)
-//   RunStep     — payload: RunStepRequest; runs fetches/targets with feeds.
-//                 With step_handle set, executes the registered Executable
-//                 (no graph walk); a handle compiled before a graph
-//                 mutation is transparently recompiled, an unknown handle
-//                 (restarted/evicted worker, registry eviction) fails with
-//                 kNotFound so the client re-registers
+//   RunStep     — payload: RunStepRequest (step handle + feeds); executes
+//                 the registered Executable (no graph walk). A request
+//                 without a handle is kInvalidArgument; a handle compiled
+//                 before a graph mutation is transparently recompiled, an
+//                 unknown handle (restarted/evicted worker, registry
+//                 eviction) fails with kNotFound so the client re-registers
 //   Enqueue     — payload: queue name + tensor (+capacity); blocking
 //   Dequeue     — payload: queue name; blocking; response carries tensor
 //   CloseQueue  — payload: queue name
@@ -245,23 +245,17 @@ class Server {
   std::atomic<int64_t> expired_rejects_{0};
   // Non-null iff def_.max_inflight_steps > 0.
   std::unique_ptr<ServingController> serving_;
-  // Outgoing rendezvous sends carry this server's own client identity so
-  // the receiving task can dedup retried sends.
-  uint64_t send_client_id_ = 0;
-  std::atomic<uint64_t> next_send_request_id_{1};
 };
 
 // ----- payload codecs (exposed for the client and tests) --------------------
 
+// Runs the Executable registered under `step_handle` (RegisterStep fixed
+// its fetches and targets); only the feed tensors ride the wire. Wire
+// fields: 1 feeds, 4 simulate, 5 step_handle.
 struct RunStepRequest {
   std::map<std::string, Tensor> feeds;
-  std::vector<std::string> fetches;
-  std::vector<std::string> targets;
   bool simulate = false;
-  // When non-zero, the worker executes the Executable registered under this
-  // handle (fetches/targets above are ignored — they were fixed at
-  // RegisterStep time) and only the feed tensors ride the wire.
-  uint64_t step_handle = 0;
+  uint64_t step_handle = 0;  // 0 = none: the server refuses the request
 
   std::string Serialize() const;
   static Result<RunStepRequest> Parse(std::string_view payload);

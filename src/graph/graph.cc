@@ -1,9 +1,26 @@
 #include "graph/graph.h"
 
 #include <algorithm>
+#include <charconv>
 #include <deque>
 
 namespace tfhpc {
+
+TensorRef ParseTensorRef(std::string_view ref) {
+  TensorRef r;
+  if (!ref.empty() && ref[0] == '^') {
+    r.control = true;
+    ref.remove_prefix(1);
+  }
+  const size_t colon = ref.find(':');
+  r.name = std::string(ref.substr(0, colon));
+  if (colon == std::string_view::npos) return r;
+  const std::string_view digits = ref.substr(colon + 1);
+  const char* end = digits.data() + digits.size();
+  const auto [ptr, ec] = std::from_chars(digits.data(), end, r.slot);
+  if (r.control || ec != std::errc() || ptr != end || r.slot < 0) r.slot = -1;
+  return r;
+}
 
 int Node::num_data_inputs() const {
   return static_cast<int>(
@@ -67,6 +84,11 @@ Result<std::unique_ptr<Node>> Node::Detached(wire::NodeDef def) {
 
 Result<Node*> Graph::AddNode(wire::NodeDef def) {
   if (def.name.empty()) return InvalidArgument("node with empty name");
+  if (def.name.find(':') != std::string::npos || def.name[0] == '^') {
+    return InvalidArgument("node name '" + def.name +
+                           "' contains ':' or starts with '^' (it would "
+                           "parse as a tensor reference)");
+  }
   if (by_name_.count(def.name)) {
     return AlreadyExists("duplicate node name '" + def.name + "'");
   }
@@ -83,29 +105,15 @@ Result<Node*> Graph::AddNode(wire::NodeDef def) {
 
   int data_inputs = 0;
   for (const std::string& input : node->def_.inputs) {
-    InEdge e;
-    std::string name = input;
-    if (!name.empty() && name[0] == '^') {
-      e.control = true;
-      name = name.substr(1);
-    } else {
-      const size_t colon = name.find(':');
-      if (colon != std::string::npos) {
-        try {
-          e.output_index = std::stoi(name.substr(colon + 1));
-        } catch (...) {
-          return InvalidArgument("bad input spec '" + input + "'");
-        }
-        name = name.substr(0, colon);
-      }
-      ++data_inputs;
-    }
-    auto it = by_name_.find(name);
+    const TensorRef ref = ParseTensorRef(input);
+    if (ref.slot < 0) return InvalidArgument("bad input spec '" + input + "'");
+    auto it = by_name_.find(ref.name);
     if (it == by_name_.end()) {
-      return NotFound("input '" + name + "' of node '" + node->def_.name +
+      return NotFound("input '" + ref.name + "' of node '" + node->def_.name +
                       "' not found (inputs must be added first)");
     }
-    e.node_id = it->second;
+    const InEdge e{it->second, ref.slot, ref.control};
+    if (!e.control) ++data_inputs;
     if (!e.control &&
         e.output_index >= nodes_[static_cast<size_t>(e.node_id)]->op_def().num_outputs) {
       return OutOfRange("input '" + input + "' output index out of range");
@@ -155,9 +163,7 @@ Result<std::vector<int>> Graph::ReachableTo(
   std::deque<int> frontier;
   for (const std::string& t : targets) {
     // Targets may name an output slot ("node:1").
-    std::string name = t;
-    const size_t colon = name.find(':');
-    if (colon != std::string::npos) name = name.substr(0, colon);
+    const std::string name = ParseTensorRef(t).name;
     const Node* n = FindNode(name);
     if (n == nullptr) return NotFound("target node '" + name + "' not found");
     if (!visited[static_cast<size_t>(n->id())]) {

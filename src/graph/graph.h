@@ -8,6 +8,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/status.h"
@@ -17,6 +18,19 @@
 namespace tfhpc {
 
 class Graph;
+
+// A tensor reference as NodeDef inputs, feeds and fetches spell it: "name"
+// (output 0), "name:slot", or "^name" (a control input). Node names never
+// contain ':' or start with '^' (AddNode rejects both), so the first ':'
+// always starts the slot.
+struct TensorRef {
+  std::string name;
+  // Output index; -1 when the reference is malformed: the text after ':' is
+  // not a decimal int, or a control reference carries a slot.
+  int slot = 0;
+  bool control = false;
+};
+TensorRef ParseTensorRef(std::string_view ref);
 
 // A resolved input edge: producer node id + output slot, or control edge.
 struct InEdge {
@@ -67,8 +81,9 @@ class Graph {
   Graph(const Graph&) = delete;
   Graph& operator=(const Graph&) = delete;
 
-  // Adds a node. Input strings are "name", "name:slot" or "^name" and must
-  // refer to already-added nodes. The op must be registered.
+  // Adds a node. Input strings are tensor references (see TensorRef) and
+  // must refer to already-added nodes. The op must be registered, and the
+  // name must be non-empty, contain no ':' and not start with '^'.
   Result<Node*> AddNode(wire::NodeDef def);
 
   // Re-pins an existing node to a different device spec. This is the one

@@ -123,14 +123,6 @@ TFHPC_REGISTER_OP(OpDef{.name = "_Recv",
                         .max_inputs = 0,
                         .is_stateful = true,
                         .is_blocking = true});
-// Coalesced cross-task transfer (distrib/partition.cc): one input per
-// rendezvous key in its "keys" attr, shipped as a single wire call.
-TFHPC_REGISTER_OP(OpDef{.name = "_PackedSend",
-                        .min_inputs = 1,
-                        .max_inputs = -1,
-                        .num_outputs = 0,
-                        .is_stateful = true,
-                        .is_blocking = true});
 TFHPC_REGISTER_OP(OpDef{.name = "QueueDequeue",
                         .min_inputs = 0,
                         .max_inputs = 0,

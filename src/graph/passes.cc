@@ -10,39 +10,18 @@ namespace {
 // markers and output slots.
 std::string RemapInput(const std::string& input,
                        const std::map<std::string, std::string>& rename) {
-  std::string prefix, name = input, suffix;
-  if (!name.empty() && name[0] == '^') {
-    prefix = "^";
-    name = name.substr(1);
-  }
-  const size_t colon = name.find(':');
-  if (colon != std::string::npos) {
-    suffix = name.substr(colon);
-    name = name.substr(0, colon);
-  }
-  auto it = rename.find(name);
-  if (it != rename.end()) name = it->second;
-  return prefix + name + suffix;
+  const TensorRef ref = ParseTensorRef(input);
+  auto it = rename.find(ref.name);
+  if (it == rename.end()) return input;
+  std::string out = input;
+  out.replace(ref.control ? 1 : 0, ref.name.size(), it->second);
+  return out;
 }
 
 }  // namespace
 
-Result<wire::GraphDef> PruneToTargets(const wire::GraphDef& def,
-                                      const std::vector<std::string>& targets) {
-  TFHPC_ASSIGN_OR_RETURN(std::unique_ptr<Graph> graph, Graph::FromGraphDef(def));
-  TFHPC_ASSIGN_OR_RETURN(std::vector<int> keep, graph->ReachableTo(targets));
-  wire::GraphDef out;
-  out.version = def.version;
-  out.nodes.reserve(keep.size());
-  for (int id : keep) out.nodes.push_back(graph->node(id)->def());
-  return out;
-}
-
-namespace {
-
-Result<wire::GraphDef> CseImpl(const wire::GraphDef& def,
-                               const std::set<std::string>* keep,
-                               bool merge_placeholders) {
+Result<wire::GraphDef> CommonSubexpressionElimination(
+    const wire::GraphDef& def, const std::set<std::string>& keep) {
   // Validate and get ids in topological order.
   TFHPC_ASSIGN_OR_RETURN(std::unique_ptr<Graph> graph, Graph::FromGraphDef(def));
 
@@ -56,40 +35,23 @@ Result<wire::GraphDef> CseImpl(const wire::GraphDef& def,
     wire::NodeDef nd = n->def();
     for (std::string& input : nd.inputs) input = RemapInput(input, rename);
 
-    const bool mergeable =
-        !n->op_def().is_stateful &&
-        (merge_placeholders || nd.op != "Placeholder");
-    if (mergeable) {
+    if (!n->op_def().is_stateful && nd.op != "Placeholder") {
       // Signature: op + device + remapped inputs + attrs (serialized NodeDef
       // with the name blanked out is exactly that).
       wire::NodeDef sig_def = nd;
       sig_def.name = "?";
       const std::string sig = sig_def.Serialize();
       auto [it, inserted] = signature_to_name.emplace(sig, nd.name);
-      if (!inserted) {
-        // A protected duplicate stays in the graph under its own name (the
-        // signature refers to it); everything else folds into the survivor.
-        if (keep == nullptr || keep->count(nd.name) == 0) {
-          rename[nd.name] = it->second;
-          continue;  // drop duplicate node
-        }
+      // A protected duplicate stays in the graph under its own name (the
+      // signature refers to it); everything else folds into the survivor.
+      if (!inserted && keep.count(nd.name) == 0) {
+        rename[nd.name] = it->second;
+        continue;  // drop duplicate node
       }
     }
     out.nodes.push_back(std::move(nd));
   }
   return out;
-}
-
-}  // namespace
-
-Result<wire::GraphDef> CommonSubexpressionElimination(
-    const wire::GraphDef& def) {
-  return CseImpl(def, nullptr, /*merge_placeholders=*/true);
-}
-
-Result<wire::GraphDef> CommonSubexpressionElimination(
-    const wire::GraphDef& def, const std::set<std::string>& keep) {
-  return CseImpl(def, &keep, /*merge_placeholders=*/false);
 }
 
 Result<GraphStats> ComputeStats(const wire::GraphDef& def) {

@@ -1,8 +1,9 @@
 // Structural graph-optimization passes. TensorFlow applies graph rewrites
 // before execution (the paper's §II lists "merging subsequent operations to
-// avoid data movement" as a dataflow advantage); tfhpc implements pruning
-// and common-subexpression elimination here and constant folding in the
-// runtime (it needs kernels to evaluate).
+// avoid data movement" as a dataflow advantage); tfhpc implements
+// common-subexpression elimination here, constant folding in the runtime
+// (it needs kernels to evaluate) and dead-node pruning in the optimizer
+// pipeline (src/optimizer).
 //
 // Passes transform GraphDefs so they compose with serialization and can be
 // tested in isolation from the runtime.
@@ -10,28 +11,19 @@
 
 #include <set>
 #include <string>
-#include <vector>
 
 #include "graph/graph.h"
 
 namespace tfhpc {
 
-// Removes every node not needed (transitively) by `targets`. Equivalent to
-// TF session pruning: stateful nodes outside the closure are dropped too.
-Result<wire::GraphDef> PruneToTargets(const wire::GraphDef& def,
-                                      const std::vector<std::string>& targets);
-
 // Merges structurally identical stateless nodes: same op, same resolved
-// inputs, same attrs, same device. Returns the rewritten graph; consumers of
-// a merged node are redirected to the surviving copy.
-Result<wire::GraphDef> CommonSubexpressionElimination(const wire::GraphDef& def);
-
-// Signature-protected variant used by the optimizer pipeline: nodes named in
-// `keep` (a run signature's feeds/fetches/targets) are never dropped — their
-// identity is observable — though duplicates of them still redirect to a
-// surviving copy when possible. Placeholders are additionally exempt from
-// merging: two identical placeholders are distinct feedable inputs, and
-// collapsing them would silently alias feeds.
+// inputs, same attrs, same device. Consumers of a merged node are
+// redirected to the surviving copy. Nodes named in `keep` (a run
+// signature's feeds/fetches/targets) are never dropped — their identity is
+// observable — though duplicates of them still redirect to a surviving copy
+// when possible. Placeholders are exempt from merging: two identical
+// placeholders are distinct feedable inputs, and collapsing them would
+// silently alias feeds. Used by the optimizer pipeline's CSE pass.
 Result<wire::GraphDef> CommonSubexpressionElimination(
     const wire::GraphDef& def, const std::set<std::string>& keep);
 

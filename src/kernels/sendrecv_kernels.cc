@@ -29,64 +29,6 @@ class SendKernel : public OpKernel {
 };
 TFHPC_REGISTER_KERNEL_ALL("_Send", SendKernel);
 
-// Coalesced transfer: ships input i under the i-th '\x1f'-separated key of
-// the "keys" attr. Local groups (no/empty target) deposit straight into the
-// task rendezvous; remote groups go through the server's packed wire hook
-// in a single call, degrading to per-key sends when only the scalar hook is
-// installed.
-class PackedSendKernel : public OpKernel {
- public:
-  Status Compute(OpKernelContext* ctx) override {
-    TFHPC_ASSIGN_OR_RETURN(std::string joined, ctx->node().AttrString("keys"));
-    std::vector<std::string> keys;
-    size_t start = 0;
-    while (true) {
-      const size_t sep = joined.find('\x1f', start);
-      keys.push_back(joined.substr(start, sep - start));
-      if (sep == std::string::npos) break;
-      start = sep + 1;
-    }
-    if (static_cast<int>(keys.size()) != ctx->num_inputs()) {
-      return InvalidArgument(
-          "_PackedSend '" + ctx->node().name() + "': " +
-          std::to_string(keys.size()) + " keys for " +
-          std::to_string(ctx->num_inputs()) + " inputs");
-    }
-    std::string target;
-    if (ctx->node().HasAttr("target")) {
-      TFHPC_ASSIGN_OR_RETURN(target, ctx->node().AttrString("target"));
-    }
-    if (target.empty()) {
-      for (size_t i = 0; i < keys.size(); ++i) {
-        TFHPC_RETURN_IF_ERROR(ctx->resources()->rendezvous().Send(
-            keys[i], ctx->input(static_cast<int>(i))));
-      }
-      return Status::OK();
-    }
-    const auto& packed = ctx->resources()->remote_send_packed();
-    if (packed) {
-      std::vector<Tensor> tensors;
-      tensors.reserve(keys.size());
-      for (size_t i = 0; i < keys.size(); ++i) {
-        tensors.push_back(ctx->input(static_cast<int>(i)));
-      }
-      return packed(target, keys, tensors);
-    }
-    const auto& remote = ctx->resources()->remote_send();
-    if (!remote) {
-      return FailedPrecondition(
-          "_PackedSend to '" + target +
-          "': this runtime has no wire (not running under a Server)");
-    }
-    for (size_t i = 0; i < keys.size(); ++i) {
-      TFHPC_RETURN_IF_ERROR(
-          remote(target, keys[i], ctx->input(static_cast<int>(i))));
-    }
-    return Status::OK();
-  }
-};
-TFHPC_REGISTER_KERNEL_ALL("_PackedSend", PackedSendKernel);
-
 class RecvKernel : public OpKernel {
  public:
   Status Compute(OpKernelContext* ctx) override {

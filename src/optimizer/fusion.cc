@@ -1,6 +1,5 @@
 #include "optimizer/fusion.h"
 
-#include <cctype>
 #include <map>
 #include <set>
 #include <string>
@@ -11,34 +10,6 @@
 
 namespace tfhpc::optimizer {
 namespace {
-
-struct Ref {
-  std::string name;
-  int slot = 0;
-  bool control = false;
-};
-
-Ref ParseRef(const std::string& input) {
-  Ref r;
-  std::string s = input;
-  if (!s.empty() && s[0] == '^') {
-    r.control = true;
-    s = s.substr(1);
-  }
-  const size_t colon = s.rfind(':');
-  if (colon != std::string::npos && colon + 1 < s.size()) {
-    bool digits = true;
-    for (size_t i = colon + 1; i < s.size(); ++i) {
-      digits = digits && (std::isdigit(static_cast<unsigned char>(s[i])) != 0);
-    }
-    if (digits) {
-      r.slot = std::stoi(s.substr(colon + 1));
-      s = s.substr(0, colon);
-    }
-  }
-  r.name = s;
-  return r;
-}
 
 bool IsFusableOp(const std::string& op) {
   return op == "Add" || op == "Sub" || op == "Mul" || op == "Div" ||
@@ -73,7 +44,7 @@ Result<wire::GraphDef> FuseElementwiseChains(const wire::GraphDef& def,
   std::set<std::string> slot_consumed;  // referenced with slot != 0
   for (int i = 0; i < n; ++i) {
     for (const std::string& in : def.nodes[static_cast<size_t>(i)].inputs) {
-      const Ref r = ParseRef(in);
+      const TensorRef r = ParseTensorRef(in);
       if (r.control) {
         control_consumed.insert(r.name);
       } else {
@@ -86,15 +57,15 @@ Result<wire::GraphDef> FuseElementwiseChains(const wire::GraphDef& def,
   std::set<std::string> protected_names;  // whole signature: never absorbed
   std::set<std::string> fed;              // feeds: never even a chain tail
   for (const std::string& f : options.feeds) {
-    fed.insert(ParseRef(f).name);
-    protected_names.insert(ParseRef(f).name);
+    fed.insert(ParseTensorRef(f).name);
+    protected_names.insert(ParseTensorRef(f).name);
   }
   for (const std::string& f : options.fetches)
-    protected_names.insert(ParseRef(f).name);
+    protected_names.insert(ParseTensorRef(f).name);
   for (const std::string& t : options.targets)
-    protected_names.insert(ParseRef(t).name);
+    protected_names.insert(ParseTensorRef(t).name);
   for (const std::string& p : options.preserve)
-    protected_names.insert(ParseRef(p).name);
+    protected_names.insert(ParseTensorRef(p).name);
 
   // Fully-known single-output fact for a node, or null.
   auto out_fact =
@@ -116,7 +87,7 @@ Result<wire::GraphDef> FuseElementwiseChains(const wire::GraphDef& def,
     const analysis::InferredShape& chain_shape = S != nullptr ? *S : out->shape;
     int prev_uses = 0;
     for (const std::string& in : nd.inputs) {
-      const Ref r = ParseRef(in);
+      const TensorRef r = ParseTensorRef(in);
       if (r.control || r.slot != 0) return false;
       if (!prev.empty() && r.name == prev) {
         prev_uses++;
@@ -149,7 +120,7 @@ Result<wire::GraphDef> FuseElementwiseChains(const wire::GraphDef& def,
     if (nd.op == "Dot" && !(S.rank_known && S.rank() == 1)) return false;
     int prev_uses = 0;
     for (const std::string& in : nd.inputs) {
-      const Ref r = ParseRef(in);
+      const TensorRef r = ParseTensorRef(in);
       if (r.control || r.slot != 0) return false;
       if (r.name == prev) {
         prev_uses++;
@@ -256,7 +227,7 @@ Result<wire::GraphDef> FuseElementwiseChains(const wire::GraphDef& def,
           k > 0 ? def.nodes[static_cast<size_t>(chain[k - 1])].name : "";
       for (size_t oi = 0; oi < nd.inputs.size(); ++oi) {
         if (oi > 0) args += ',';
-        const Ref r = ParseRef(nd.inputs[oi]);
+        const TensorRef r = ParseTensorRef(nd.inputs[oi]);
         if (!prev.empty() && r.name == prev) {
           args += 'p';
           continue;

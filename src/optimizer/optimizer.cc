@@ -1,7 +1,6 @@
 #include "optimizer/optimizer.h"
 
 #include <algorithm>
-#include <cctype>
 #include <functional>
 #include <utility>
 
@@ -11,25 +10,9 @@
 namespace tfhpc::optimizer {
 namespace {
 
-// "name", "name:slot" or "^name" -> node name. Mirrors the executor: only a
-// trailing all-digit suffix counts as a slot (node names may embed colons).
-std::string BaseName(const std::string& ref) {
-  std::string name = ref;
-  if (!name.empty() && name[0] == '^') name = name.substr(1);
-  const size_t colon = name.rfind(':');
-  if (colon != std::string::npos && colon + 1 < name.size()) {
-    bool digits = true;
-    for (size_t i = colon + 1; i < name.size(); ++i) {
-      digits = digits && (std::isdigit(static_cast<unsigned char>(name[i])) != 0);
-    }
-    if (digits) name = name.substr(0, colon);
-  }
-  return name;
-}
-
 std::set<std::string> NamesOf(const std::vector<std::string>& refs) {
   std::set<std::string> names;
-  for (const std::string& r : refs) names.insert(BaseName(r));
+  for (const std::string& r : refs) names.insert(ParseTensorRef(r).name);
   return names;
 }
 
@@ -48,7 +31,9 @@ Result<wire::GraphDef> DeadNodeElimination(const wire::GraphDef& def,
   if (options.fetches.empty() && options.targets.empty()) {
     std::set<std::string> consumed;
     for (const wire::NodeDef& nd : def.nodes) {
-      for (const std::string& in : nd.inputs) consumed.insert(BaseName(in));
+      for (const std::string& in : nd.inputs) {
+        consumed.insert(ParseTensorRef(in).name);
+      }
     }
     for (const wire::NodeDef& nd : def.nodes) {
       const Node* n = graph->FindNode(nd.name);
@@ -57,8 +42,8 @@ Result<wire::GraphDef> DeadNodeElimination(const wire::GraphDef& def,
       }
     }
   } else {
-    for (const std::string& f : options.fetches) root_set.insert(BaseName(f));
-    for (const std::string& t : options.targets) root_set.insert(BaseName(t));
+    root_set = NamesOf(options.fetches);
+    root_set.merge(NamesOf(options.targets));
   }
   if (root_set.empty()) return def;  // nothing to anchor on: keep everything
 

@@ -24,9 +24,9 @@
 //     is a compile failure, not a wrong answer (GraphCheck is the
 //     regression oracle).
 //
-// Send/recv coalescing — the fifth optimization — runs inside the
-// partitioner (src/distrib/partition.h, PartitionOptions::coalesce_sends),
-// since cross-task edges only exist after placement.
+// dead_node_elim is the only graph pass that prunes. Cross-task edges are
+// not rewritten here: the partitioner gives each one its own _Send/_Recv
+// pair (src/distrib/partition.h).
 #pragma once
 
 #include <cstdint>
@@ -41,7 +41,7 @@ namespace tfhpc::optimizer {
 enum class OptimizerLevel {
   kOff,         // pipeline disabled
   kBasic,       // const_fold + cse + dead_node_elim
-  kAggressive,  // basic + elementwise fusion (+ send coalescing in distrib)
+  kAggressive,  // basic + elementwise fusion
 };
 
 const char* OptimizerLevelName(OptimizerLevel level);

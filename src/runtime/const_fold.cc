@@ -78,11 +78,8 @@ Result<ConstFoldResult> ConstantFolding(const wire::GraphDef& def,
     result.graph.nodes.push_back(nd);
   }
 
-  // Folding can orphan Const nodes nothing consumes anymore; prune them by
-  // keeping only nodes reachable from sinks (nodes with consumers outside
-  // or any node — cheap approach: keep nodes that either have a consumer or
-  // had one in the original def). Simpler and safe: leave them; callers
-  // compose with PruneToTargets for dead-node removal.
+  // Folding can orphan Const nodes nothing consumes anymore. They stay
+  // here; the optimizer pipeline's dead-node pass removes them.
   return result;
 }
 

@@ -12,18 +12,6 @@
 namespace tfhpc {
 namespace {
 
-// Normalizes "name" / "name:slot" into (name, slot). Only a trailing
-// all-digit suffix counts as a slot — node names themselves may contain
-// colons (e.g. partitioner-generated sends embedding "host:port").
-std::pair<std::string, int> SplitTensorName(const std::string& s) {
-  const size_t colon = s.rfind(':');
-  if (colon == std::string::npos || colon + 1 == s.size()) return {s, 0};
-  for (size_t i = colon + 1; i < s.size(); ++i) {
-    if (!std::isdigit(static_cast<unsigned char>(s[i]))) return {s, 0};
-  }
-  return {s.substr(0, colon), std::stoi(s.substr(colon + 1))};
-}
-
 double NowUs() {
   return std::chrono::duration<double, std::micro>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -174,7 +162,9 @@ Result<std::shared_ptr<const Executable>> Executor::CompileOn(
   // ---- Closure computation, with feeds acting as graph cut points. -------
   std::set<std::string> fed_names;
   for (const std::string& key : feed_keys) {
-    fed_names.insert(SplitTensorName(key).first);
+    TensorRef ref = ParseTensorRef(key);
+    if (ref.slot < 0) return InvalidArgument("malformed feed key '" + key + "'");
+    fed_names.insert(std::move(ref.name));
   }
 
   std::vector<std::string> roots = fetches;
@@ -185,10 +175,12 @@ Result<std::shared_ptr<const Executable>> Executor::CompileOn(
   std::set<int> closure;
   std::deque<int> frontier;
   for (const std::string& r : roots) {
-    const auto [name, slot] = SplitTensorName(r);
-    (void)slot;
-    const Node* n = graph.FindNode(name);
-    if (n == nullptr) return NotFound("fetch/target node '" + name + "' not found");
+    const TensorRef ref = ParseTensorRef(r);
+    if (ref.slot < 0) return InvalidArgument("malformed fetch/target '" + r + "'");
+    const Node* n = graph.FindNode(ref.name);
+    if (n == nullptr) {
+      return NotFound("fetch/target node '" + ref.name + "' not found");
+    }
     if (closure.insert(n->id()).second) frontier.push_back(n->id());
   }
   while (!frontier.empty()) {
@@ -284,21 +276,27 @@ Result<std::shared_ptr<const Executable>> Executor::CompileOn(
 
   // ---- Feed/fetch bindings. ----------------------------------------------
   for (const std::string& key : feed_keys) {
-    const auto [name, slot] = SplitTensorName(key);
-    const Node* n = graph.FindNode(name);
+    const TensorRef ref = ParseTensorRef(key);
+    const Node* n = graph.FindNode(ref.name);
     if (n == nullptr) continue;  // feeding an unknown node: ignored
     auto it = dense.find(n->id());
     if (it == dense.end()) continue;  // pruned from the closure: ignored
-    if (slot >= exe->nodes_[static_cast<size_t>(it->second)].num_outputs) {
+    if (ref.slot >= exe->nodes_[static_cast<size_t>(it->second)].num_outputs) {
       return OutOfRange("feed slot out of range: " + key);
     }
-    exe->feed_bindings_.push_back({key, it->second, slot});
+    exe->feed_bindings_.push_back({key, it->second, ref.slot});
   }
+  // A fetch slot past the producer's outputs fails here, before the step
+  // runs, so no stateful target in the same Run has applied.
   for (const std::string& f : fetches) {
-    const auto [name, slot] = SplitTensorName(f);
-    const Node* n = graph.FindNode(name);
+    const TensorRef ref = ParseTensorRef(f);
+    const Node* n = graph.FindNode(ref.name);
     TFHPC_CHECK(n != nullptr);  // was a closure root
-    exe->fetch_bindings_.push_back({f, dense.at(n->id()), slot});
+    const int index = dense.at(n->id());
+    if (ref.slot >= exe->nodes_[static_cast<size_t>(index)].num_outputs) {
+      return OutOfRange("fetch slot out of range: " + f);
+    }
+    exe->fetch_bindings_.push_back({f, index, ref.slot});
   }
   exe->fetch_keys_ = fetches;
 

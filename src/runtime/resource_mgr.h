@@ -119,26 +119,12 @@ class ResourceMgr {
   void set_remote_send(RemoteSendFn fn) { remote_send_ = std::move(fn); }
   const RemoteSendFn& remote_send() const { return remote_send_; }
 
-  // Batched variant for _PackedSend: all keys/tensors land on `addr` in one
-  // wire call. Null on standalone runtimes and on servers predating the
-  // hook — the kernel then falls back to per-key remote_send().
-  using RemoteSendPackedFn = std::function<Status(
-      const std::string& addr, const std::vector<std::string>& keys,
-      const std::vector<Tensor>& tensors)>;
-  void set_remote_send_packed(RemoteSendPackedFn fn) {
-    remote_send_packed_ = std::move(fn);
-  }
-  const RemoteSendPackedFn& remote_send_packed() const {
-    return remote_send_packed_;
-  }
-
  private:
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<FIFOQueue>> queues_;
   std::map<std::string, std::unique_ptr<Variable>> variables_;
   Rendezvous rendezvous_;
   RemoteSendFn remote_send_;
-  RemoteSendPackedFn remote_send_packed_;
 };
 
 }  // namespace tfhpc

@@ -549,9 +549,11 @@ TEST_F(ServerTest, ExtendGraphAndRunStep) {
 
   auto client = Client("t01n02:8888");
   ASSERT_TRUE(client.ExtendGraph(g.ToGraphDef()).ok());
-  auto r = client.RunStep(
-      {{"x", Tensor::FromVector(std::vector<double>{3, 4})}}, {y.name()});
-  ASSERT_TRUE(r.ok());
+  auto handle = client.RegisterStep({"x"}, {y.name()});
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+  auto r = client.RunRegisteredStep(
+      *handle, {{"x", Tensor::FromVector(std::vector<double>{3, 4})}});
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_EQ(r->size(), 1u);
   EXPECT_DOUBLE_EQ((*r)[0].data<double>()[1], 8.0);
 }
@@ -564,15 +566,18 @@ TEST_F(ServerTest, RunStepSimulateReturnsMeta) {
   auto c = ops::MatMul(s, a, b);
   auto client = Client("t01n02:8888");
   ASSERT_TRUE(client.ExtendGraph(g.ToGraphDef()).ok());
-  auto r = client.RunStep({}, {c.name()}, {}, /*simulate=*/true);
-  ASSERT_TRUE(r.ok());
+  auto handle = client.RegisterStep({}, {c.name()});
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+  auto r = client.RunRegisteredStep(*handle, {}, /*simulate=*/true);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_TRUE((*r)[0].is_meta());
   EXPECT_EQ((*r)[0].shape(), Shape({256, 256}));
 }
 
 TEST_F(ServerTest, RunStepErrorsPropagateWithAddress) {
+  // A bad fetch fails when the step is registered, before anything runs.
   auto client = Client("t01n02:8888");
-  auto r = client.RunStep({}, {"no_such_node"});
+  auto r = client.RegisterStep({}, {"no_such_node"});
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), Code::kNotFound);
   EXPECT_NE(r.status().message().find("t01n02:8888"), std::string::npos);
@@ -620,9 +625,34 @@ TEST_F(ServerTest, WorkerGraphsAreIsolated) {
   Graph g;
   Scope s(&g);
   ops::Const(s, Tensor::Scalar(1.0), "only_on_w0");
+  auto w0 = Client("t01n02:8888");
+  ASSERT_TRUE(w0.ExtendGraph(g.ToGraphDef()).ok());
+  auto handle = w0.RegisterStep({}, {"only_on_w0"});
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
+  EXPECT_TRUE(w0.RunRegisteredStep(*handle, {}).ok());
+  EXPECT_FALSE(Client("t01n03:8888").RegisterStep({}, {"only_on_w0"}).ok());
+}
+
+TEST_F(ServerTest, RunStepWithoutHandleIsRefusedAndRunsNothing) {
+  // A raw RunStep whose payload names a fetch (field 2) but carries no step
+  // handle: steps run only by handle, so the worker refuses it untouched.
+  Graph g;
+  Scope s(&g);
+  ops::Const(s, Tensor::Scalar(1.0), "k");
   ASSERT_TRUE(Client("t01n02:8888").ExtendGraph(g.ToGraphDef()).ok());
-  EXPECT_TRUE(Client("t01n02:8888").RunStep({}, {"only_on_w0"}).ok());
-  EXPECT_FALSE(Client("t01n03:8888").RunStep({}, {"only_on_w0"}).ok());
+
+  std::string payload;
+  wire::CodedOutput co(&payload);
+  co.WriteString(2, "k");
+  wire::RpcEnvelope req;
+  req.method = "RunStep";
+  req.payload = wire::PayloadRef(std::move(payload));
+  const int64_t executed = w0_->nodes_executed();
+  auto resp = router_.Call("t01n02:8888", WireProtocol::kRdma, req);
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  EXPECT_EQ(static_cast<Code>(resp->status_code), Code::kInvalidArgument)
+      << resp->status_msg;
+  EXPECT_EQ(w0_->nodes_executed(), executed);
 }
 
 TEST_F(ServerTest, ServerSessionSharesResourcesWithService) {

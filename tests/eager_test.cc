@@ -3,6 +3,7 @@
 
 #include "core/rng.h"
 #include "graph/ops.h"
+#include "optimizer/optimizer.h"
 #include "runtime/const_fold.h"
 #include "runtime/eager.h"
 #include "runtime/session.h"
@@ -152,10 +153,15 @@ TEST(ConstFoldTest, FoldedGraphShrinksAfterPrune) {
   auto folded = ConstantFolding(g.ToGraphDef());
   ASSERT_TRUE(folded.ok());
   EXPECT_EQ(folded->folded_nodes, 6);
-  auto pruned = PruneToTargets(folded->graph, {chain.node->name()});
-  ASSERT_TRUE(pruned.ok());
-  EXPECT_EQ(pruned->nodes.size(), 1u);  // a single Const remains
-  EXPECT_EQ(pruned->nodes[0].op, "Const");
+  // The optimizer pipeline's dead-node pass prunes to the fetch.
+  optimizer::PipelineOptions opts;
+  opts.level = optimizer::OptimizerLevel::kBasic;
+  opts.fetches = {chain.node->name()};
+  auto pruned = optimizer::RunPassPipeline(folded->graph, opts);
+  ASSERT_TRUE(pruned.ok()) << pruned.status().ToString();
+  ASSERT_EQ(pruned->graph.nodes.size(), 1u);  // a single Const remains
+  EXPECT_EQ(pruned->graph.nodes[0].op, "Const");
+  EXPECT_EQ(pruned->graph.nodes[0].name, chain.node->name());
 }
 
 TEST(ConstFoldTest, LeavesControlDependentNodesAlone) {

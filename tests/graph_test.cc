@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include "core/device_name.h"
+#include "distrib/client.h"
 #include "graph/graph.h"
 #include "graph/ops.h"
 #include "graph/passes.h"
+#include "optimizer/optimizer.h"
 
 namespace tfhpc {
 namespace {
@@ -169,6 +171,73 @@ TEST(GraphTest, ControlInputsParsed) {
   EXPECT_TRUE((*r)->in_edges()[2].control);
 }
 
+TEST(GraphTest, NamesThatParseAsTensorReferencesAreRejected) {
+  // "a:0" would shadow output 0 of a node "a", and "^a" reads as a control
+  // input: both are refused wherever a node enters a graph.
+  for (const std::string bad : {"a:0", "b:c", "^a"}) {
+    Graph g;
+    auto r = g.AddNode(MakeConstDef(bad, 1.0));
+    ASSERT_FALSE(r.ok()) << bad;
+    EXPECT_EQ(r.status().code(), Code::kInvalidArgument) << bad;
+    EXPECT_EQ(g.num_nodes(), 0);
+
+    wire::GraphDef def;
+    def.nodes.push_back(MakeConstDef(bad, 1.0));
+    auto from_def = Graph::FromGraphDef(def);
+    ASSERT_FALSE(from_def.ok()) << bad;
+    EXPECT_EQ(from_def.status().code(), Code::kInvalidArgument) << bad;
+  }
+
+  // The same refusal reaches a GraphDef that arrives over the wire.
+  wire::ClusterDef cluster_def;
+  cluster_def.jobs = {wire::JobDef{"worker", {"names-w0:1"}}};
+  auto cluster = distrib::ClusterSpec::Create(cluster_def);
+  ASSERT_TRUE(cluster.ok());
+  distrib::InProcessRouter router;
+  auto server = distrib::Server::Create(
+      distrib::ServerDef{.cluster = *cluster,
+                         .job = "worker",
+                         .serving = {},
+                         .alloc_faults = {}},
+      &router);
+  ASSERT_TRUE(server.ok());
+  wire::GraphDef wire_def;
+  wire_def.nodes.push_back(MakeConstDef("a", 1.0));
+  wire_def.nodes.push_back(MakeConstDef("a:0", 2.0));
+  const Status st = distrib::RemoteTask(&router, "names-w0:1",
+                                        distrib::WireProtocol::kGrpc)
+                        .ExtendGraph(wire_def);
+  EXPECT_EQ(st.code(), Code::kInvalidArgument) << st.ToString();
+  EXPECT_EQ((*server)->graph().FindNode("a:0"), nullptr);
+}
+
+TEST(GraphTest, ParseTensorRefSplitsAtTheFirstColon) {
+  const TensorRef plain = ParseTensorRef("a");
+  EXPECT_EQ(plain.name, "a");
+  EXPECT_EQ(plain.slot, 0);
+  EXPECT_FALSE(plain.control);
+  const TensorRef slot = ParseTensorRef("scope/a:12");
+  EXPECT_EQ(slot.name, "scope/a");
+  EXPECT_EQ(slot.slot, 12);
+  const TensorRef control = ParseTensorRef("^a");
+  EXPECT_EQ(control.name, "a");
+  EXPECT_TRUE(control.control);
+  // AddNode refuses each malformed reference as an input; a negative slot
+  // must never reach an edge.
+  Graph g;
+  ASSERT_TRUE(g.AddNode(MakeConstDef("a", 1.0)).ok());
+  for (const char* malformed : {"a:", "a:x", "a:1x", "a:-1", "^a:1",
+                                "a:99999999999"}) {
+    EXPECT_EQ(ParseTensorRef(malformed).slot, -1) << malformed;
+    wire::NodeDef neg;
+    neg.name = "neg";
+    neg.op = "Neg";
+    neg.inputs = {malformed};
+    EXPECT_EQ(g.AddNode(neg).status().code(), Code::kInvalidArgument)
+        << malformed;
+  }
+}
+
 TEST(GraphTest, ReachableToComputesClosure) {
   Graph g;
   Scope s(&g);
@@ -265,6 +334,16 @@ TEST(OpsTest, QueueOpsCarryQueueAttr) {
 
 // ---- Passes -------------------------------------------------------------------------
 
+// Pruning is the optimizer pipeline's dead-node pass; these run it at
+// kBasic with the target as the fetch.
+Result<optimizer::PipelineResult> PruneToFetch(const Graph& g,
+                                               const std::string& fetch) {
+  optimizer::PipelineOptions opts;
+  opts.level = optimizer::OptimizerLevel::kBasic;
+  opts.fetches = {fetch};
+  return optimizer::RunPassPipeline(g.ToGraphDef(), opts);
+}
+
 TEST(PassesTest, PruneRemovesUnreachable) {
   Graph g;
   Scope s(&g);
@@ -274,16 +353,24 @@ TEST(PassesTest, PruneRemovesUnreachable) {
   ops::Const(s, Tensor::Scalar(3.0), "dead1");
   ops::RandomUniform(s, Shape{2}, DType::kF32, 7);  // stateful but unused
 
-  auto pruned = PruneToTargets(g.ToGraphDef(), {c.node->name()});
-  ASSERT_TRUE(pruned.ok());
-  EXPECT_EQ(pruned->nodes.size(), 3u);
+  auto pruned = PruneToFetch(g, c.node->name());
+  ASSERT_TRUE(pruned.ok()) << pruned.status().ToString();
+  // Constant folding changes the node count, so check what survives.
+  std::set<std::string> names, ops_left;
+  for (const auto& nd : pruned->graph.nodes) {
+    names.insert(nd.name);
+    ops_left.insert(nd.op);
+  }
+  EXPECT_EQ(names.count(c.node->name()), 1u) << "the target stays";
+  EXPECT_EQ(names.count("dead1"), 0u);
+  EXPECT_EQ(ops_left.count("RandomUniform"), 0u);
 }
 
 TEST(PassesTest, PruneUnknownTargetFails) {
   Graph g;
   Scope s(&g);
   ops::Const(s, Tensor::Scalar(1.0), "a");
-  EXPECT_FALSE(PruneToTargets(g.ToGraphDef(), {"ghost"}).ok());
+  EXPECT_FALSE(PruneToFetch(g, "ghost").ok());
 }
 
 TEST(PassesTest, CseMergesIdenticalPureNodes) {
@@ -294,7 +381,7 @@ TEST(PassesTest, CseMergesIdenticalPureNodes) {
   auto add = ops::Add(s, a, b);
   (void)add;
 
-  auto out = CommonSubexpressionElimination(g.ToGraphDef());
+  auto out = CommonSubexpressionElimination(g.ToGraphDef(), /*keep=*/{});
   ASSERT_TRUE(out.ok());
   // b merged into a; Add survives with both inputs remapped to a.
   ASSERT_EQ(out->nodes.size(), 2u);
@@ -313,7 +400,7 @@ TEST(PassesTest, CseChainsThroughLayers) {
   auto y = ops::Add(s, a, a);  // duplicate of x
   auto z = ops::Mul(s, x, y);
   (void)z;
-  auto out = CommonSubexpressionElimination(g.ToGraphDef());
+  auto out = CommonSubexpressionElimination(g.ToGraphDef(), /*keep=*/{});
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->nodes.size(), 3u);  // a, one Add, Mul
   const auto& mul = out->nodes.back();
@@ -325,7 +412,7 @@ TEST(PassesTest, CseDoesNotMergeStatefulOps) {
   Scope s(&g);
   ops::RandomUniform(s, Shape{4}, DType::kF32, 1);
   ops::RandomUniform(s, Shape{4}, DType::kF32, 1);  // same attrs, stateful
-  auto out = CommonSubexpressionElimination(g.ToGraphDef());
+  auto out = CommonSubexpressionElimination(g.ToGraphDef(), /*keep=*/{});
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->nodes.size(), 2u);
 }
@@ -335,7 +422,7 @@ TEST(PassesTest, CseRespectsDevices) {
   Scope s(&g);
   ops::Const(s.WithDevice("/cpu:0"), Tensor::Scalar(1.0), "a");
   ops::Const(s.WithDevice("/gpu:0"), Tensor::Scalar(1.0), "b");
-  auto out = CommonSubexpressionElimination(g.ToGraphDef());
+  auto out = CommonSubexpressionElimination(g.ToGraphDef(), /*keep=*/{});
   ASSERT_TRUE(out.ok());
   EXPECT_EQ(out->nodes.size(), 2u);  // different devices: kept apart
 }

@@ -534,12 +534,14 @@ TEST_F(OomDistTest, TransientOomCrossesTheWireAsRetryableStatus) {
   auto y = ops::Add(s, x, x);
   RemoteTask w0(&router_, "oom-w0:1", WireProtocol::kRdma);  // NoRetry
   ASSERT_TRUE(w0.ExtendGraph(g.ToGraphDef()).ok());
+  auto handle = w0.RegisterStep({"x"}, {y.name()});
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
   const Tensor feed = Tensor::FromVector(std::vector<double>(512, 1.0));
 
   AllocFaultSpec spec;
   spec.every_nth = 1;
   AllocFaultInjector::Global().Install(spec);
-  auto r = w0.RunStep({{"x", feed}}, {y.name()});
+  auto r = w0.RunRegisteredStep(*handle, {{"x", feed}});
   AllocFaultInjector::Global().Disarm();
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), Code::kResourceExhausted) << r.status().ToString();
@@ -549,7 +551,7 @@ TEST_F(OomDistTest, TransientOomCrossesTheWireAsRetryableStatus) {
   EXPECT_TRUE(IsRetryable(r.status()));
 
   // The worker is fully serviceable after the unwound step.
-  auto r2 = w0.RunStep({{"x", feed}}, {y.name()});
+  auto r2 = w0.RunRegisteredStep(*handle, {{"x", feed}});
   ASSERT_TRUE(r2.ok()) << r2.status().ToString();
   EXPECT_DOUBLE_EQ((*r2)[0].data<double>()[0], 2.0);
 }
@@ -608,8 +610,10 @@ TEST_F(OomDistTest, ServerWideStepBudgetRejectsPermanently) {
 
   RemoteTask c(&router_, "oom-tight:1", WireProtocol::kRdma);
   ASSERT_TRUE(c.ExtendGraph(g.ToGraphDef()).ok());
+  auto handle = c.RegisterStep({"x"}, {y.name()});
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
   const Tensor feed = Tensor::FromVector(std::vector<double>(4096, 1.0));
-  auto r = c.RunStep({{"x", feed}}, {y.name()});
+  auto r = c.RunRegisteredStep(*handle, {{"x", feed}});
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), Code::kResourceExhausted) << r.status().ToString();
   EXPECT_FALSE(IsTransientResourceExhausted(r.status()))

@@ -1,34 +1,17 @@
 // Optimizer pipeline tests: per-pass positive/negative units, run-twice
 // fixed point, fused-kernel numerics bit-identical to the unfused chain,
-// stateful-op safety, and packed-send coalescing through the partitioner —
-// including survival of an EvictAndRebuild re-ship.
+// and stateful-op safety.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
-#include <filesystem>
 
-#include "analysis/verifier.h"
-#include "distrib/dist_session.h"
-#include "distrib/server.h"
 #include "graph/ops.h"
-#include "io/checkpoint.h"
 #include "optimizer/optimizer.h"
 #include "runtime/session.h"
 
 namespace tfhpc {
 namespace {
-
-using distrib::ClusterSpec;
-using distrib::DistributedSession;
-using distrib::DistSessionOptions;
-using distrib::InProcessRouter;
-using distrib::PartitionGraph;
-using distrib::PartitionOptions;
-using distrib::RetryPolicy;
-using distrib::Server;
-using distrib::ServerDef;
-using distrib::WireProtocol;
 
 const wire::NodeDef* FindDef(const wire::GraphDef& def,
                              const std::string& name) {
@@ -641,218 +624,6 @@ TEST(OptimizerSessionTest, OptimizedPlansAreCachedPerSignature) {
   EXPECT_EQ(session->executable_cache_misses(), 1)
       << "the optimizer runs once per signature, not per step";
   EXPECT_EQ(session->executable_cache_hits(), 1);
-}
-
-// ---- partitioner send coalescing -------------------------------------------------
-
-distrib::ClusterSpec TwoWorkerSpec(const std::string& tag) {
-  wire::ClusterDef def;
-  wire::JobDef workers;
-  workers.name = "worker";
-  workers.task_addrs = {tag + "-w0:1", tag + "-w1:1"};
-  def.jobs = {workers};
-  return ClusterSpec::Create(def).value();
-}
-
-DeviceName WorkerDefault() {
-  DeviceName d;
-  d.job = "worker";
-  d.task = 0;
-  return d;
-}
-
-TEST(CoalesceSendTest, SameConsumerSendsArePacked) {
-  Graph g;
-  Scope s(&g);
-  auto t0 = s.WithDevice("/job:worker/task:0/cpu:0");
-  auto t1 = s.WithDevice("/job:worker/task:1/cpu:0");
-  auto a = ops::Const(t0, Tensor::Scalar(2.0), "a");
-  auto b = ops::Const(t0, Tensor::Scalar(3.0), "b");
-  ops::Add(t1, a, b);  // both cross edges feed the same consumer
-
-  auto spec = TwoWorkerSpec("pk");
-  PartitionOptions popts;
-  popts.coalesce_sends = true;
-  auto parts = PartitionGraph(g, spec, WorkerDefault(), popts);
-  ASSERT_TRUE(parts.ok()) << parts.status().ToString();
-  const auto& p0 = parts->partitions.at("pk-w0:1");
-  const auto& p1 = parts->partitions.at("pk-w1:1");
-  EXPECT_EQ(CountOp(p0, "_Send"), 0);
-  EXPECT_EQ(CountOp(p0, "_PackedSend"), 1);
-  EXPECT_EQ(CountOp(p1, "_Recv"), 2) << "the receive side is unchanged";
-
-  const wire::NodeDef* packed = nullptr;
-  for (const auto& nd : p0.nodes) {
-    if (nd.op == "_PackedSend") packed = &nd;
-  }
-  ASSERT_NE(packed, nullptr);
-  EXPECT_EQ(packed->inputs.size(), 2u);
-  const auto keys = packed->attrs.find("keys");
-  ASSERT_NE(keys, packed->attrs.end());
-  EXPECT_NE(keys->second.s.find('\x1f'), std::string::npos)
-      << "two rendezvous keys ride the packed node";
-
-  // The packed plan must satisfy GC015: every key pairs with a _Recv.
-  const auto diags = analysis::VerifyPartitions(parts->partitions);
-  EXPECT_FALSE(analysis::HasErrors(diags))
-      << analysis::FormatDiagnostics(diags);
-
-  // The merged SendDef carries the union of consumers.
-  const auto& sends = parts->sends.at("pk-w0:1");
-  ASSERT_EQ(sends.size(), 1u);
-  EXPECT_EQ(sends[0].consumers.size(), 1u);
-}
-
-TEST(CoalesceSendTest, DifferentConsumerSetsStaySeparate) {
-  Graph g;
-  Scope s(&g);
-  auto t0 = s.WithDevice("/job:worker/task:0/cpu:0");
-  auto t1 = s.WithDevice("/job:worker/task:1/cpu:0");
-  auto a = ops::Const(t0, Tensor::Scalar(2.0), "a");
-  auto b = ops::Const(t0, Tensor::Scalar(3.0), "b");
-  ops::Neg(t1, a);  // consumer set {neg_a}
-  ops::Neg(t1, b);  // consumer set {neg_b}: must not merge with the above
-
-  auto spec = TwoWorkerSpec("sp");
-  PartitionOptions popts;
-  popts.coalesce_sends = true;
-  auto parts = PartitionGraph(g, spec, WorkerDefault(), popts);
-  ASSERT_TRUE(parts.ok()) << parts.status().ToString();
-  const auto& p0 = parts->partitions.at("sp-w0:1");
-  EXPECT_EQ(CountOp(p0, "_Send"), 2)
-      << "different consumer sets prune independently: never packed";
-  EXPECT_EQ(CountOp(p0, "_PackedSend"), 0);
-}
-
-TEST(CoalesceSendTest, CoalescedSendsRoundTripThroughServers) {
-  InProcessRouter router;
-  auto spec = TwoWorkerSpec("rt");
-  auto w0 = Server::Create({spec, "worker", 0, 1}, &router).value();
-  auto w1 = Server::Create({spec, "worker", 1, 1}, &router).value();
-
-  Graph g;
-  Scope s(&g);
-  auto t0 = s.WithDevice("/job:worker/task:0/cpu:0");
-  auto t1 = s.WithDevice("/job:worker/task:1/cpu:0");
-  auto x = ops::Placeholder(t0, DType::kF64, Shape{3}, "x");
-  auto p = ops::Mul(t0, x, ops::Const(t0, Tensor::Scalar(2.0)));
-  auto q = ops::Mul(t0, x, ops::Const(t0, Tensor::Scalar(3.0)));
-  auto y = ops::Add(t1, p, q);  // p and q cross together: packed pair
-
-  DistSessionOptions opts;
-  opts.coalesce_sends = true;
-  auto session = DistributedSession::Create(&router, spec, WireProtocol::kRdma,
-                                            g.ToGraphDef(), WorkerDefault(),
-                                            opts);
-  ASSERT_TRUE(session.ok()) << session.status().ToString();
-
-  const Tensor feed = Tensor::FromVector(std::vector<double>{1, 2, 3});
-  for (int step = 0; step < 2; ++step) {
-    auto r = (*session)->Run({{"x", feed}}, {y.name()});
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_DOUBLE_EQ((*r)[0].data<double>()[0], 5.0);
-    EXPECT_DOUBLE_EQ((*r)[0].data<double>()[1], 10.0);
-    EXPECT_DOUBLE_EQ((*r)[0].data<double>()[2], 15.0);
-  }
-}
-
-TEST(CoalesceSendTest, PackedSendsSurviveEvictAndRebuild) {
-  const std::string tag = "cv";
-  const std::string w0_addr = tag + "-w0:1";
-  const std::string w1_addr = tag + "-w1:1";
-  const std::string spare_addr = tag + "-spare:1";
-  auto mk_cluster = [](const std::vector<std::string>& addrs) {
-    wire::ClusterDef def;
-    wire::JobDef workers;
-    workers.name = "worker";
-    workers.task_addrs = addrs;
-    def.jobs = {workers};
-    return ClusterSpec::Create(def).value();
-  };
-  ClusterSpec cluster = mk_cluster({w0_addr, w1_addr});
-  ClusterSpec spare_cluster = mk_cluster({w0_addr, spare_addr});
-
-  InProcessRouter router;
-  RetryPolicy send_retry = RetryPolicy::Aggressive(1000);
-  ServerDef d0{cluster, "worker", 0, 0};
-  ServerDef d1{cluster, "worker", 1, 0};
-  ServerDef ds{spare_cluster, "worker", 1, 0};
-  d0.send_retry = d1.send_retry = ds.send_retry = send_retry;
-  auto w0 = Server::Create(d0, &router).value();
-  auto w1 = Server::Create(d1, &router).value();
-  auto spare = Server::Create(ds, &router).value();
-
-  distrib::HealthOptions health;
-  health.heartbeat_interval_ms = 5;
-  health.suspect_after_ms = 40;
-  health.dead_after_ms = 120;
-  distrib::HealthMonitor monitor(&router, health);
-  monitor.Watch(w0_addr);
-  monitor.Watch(w1_addr);
-  monitor.Start();
-
-  const std::string ckpt_dir = ::testing::TempDir() + "/coalesce_evict";
-  std::filesystem::remove_all(ckpt_dir);
-  io::CheckpointManager checkpoints(
-      io::CheckpointManagerOptions{ckpt_dir, "job", 3});
-
-  // acc += 1 on task 0; its doubled and tripled views cross to task 1
-  // TOGETHER (same consumer) as one packed send; sum += 5*acc on task 1.
-  Graph g;
-  Scope s(&g);
-  auto t0 = s.WithDevice("/job:worker/task:0/cpu:0");
-  auto t1 = s.WithDevice("/job:worker/task:1/cpu:0");
-  auto acc = ops::Variable(t0, "acc", DType::kF64, Shape{});
-  auto bump = ops::AssignAdd(t0, acc, ops::Const(t0, Tensor::Scalar(1.0)));
-  auto p = ops::Mul(t0, bump, ops::Const(t0, Tensor::Scalar(2.0)));
-  auto q = ops::Mul(t0, bump, ops::Const(t0, Tensor::Scalar(3.0)));
-  auto sum = ops::Variable(t1, "sum", DType::kF64, Shape{});
-  auto total = ops::AssignAdd(t1, sum, ops::Add(t1, p, q));
-
-  DistSessionOptions sopts;
-  sopts.coalesce_sends = true;
-  auto session = DistributedSession::Create(&router, cluster,
-                                            WireProtocol::kRdma,
-                                            g.ToGraphDef(), WorkerDefault(),
-                                            sopts);
-  ASSERT_TRUE(session.ok()) << session.status().ToString();
-  ASSERT_TRUE(distrib::RemoteTask(&router, w0_addr, WireProtocol::kRdma)
-                  .VarAssign("acc", Tensor::Scalar(0.0))
-                  .ok());
-  ASSERT_TRUE(distrib::RemoteTask(&router, w1_addr, WireProtocol::kRdma)
-                  .VarAssign("sum", Tensor::Scalar(0.0))
-                  .ok());
-
-  distrib::StepRecoveryOptions recovery;
-  recovery.max_step_attempts = 3;
-  recovery.rpc_retry = RetryPolicy::Aggressive(500);
-  recovery.health = &monitor;
-  recovery.checkpoints = &checkpoints;
-  recovery.checkpoint_every_n_steps = 1;
-  recovery.spare_addrs = {spare_addr};
-  recovery.dead_verdict_wait_ms = 5000;
-
-  // Two clean steps through the packed path: acc=1,sum=5 then acc=2,sum=15.
-  for (int step = 1; step <= 2; ++step) {
-    auto r = (*session)->Run({}, {total.name()}, recovery, nullptr);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-  }
-  ASSERT_TRUE(checkpoints.WaitForPending().ok());
-
-  // Kill the consumer task. The rebuild re-partitions with the SAME
-  // coalescing options, re-ships the _PackedSend to the surviving plan and
-  // the step completes with the restored state: sum = 15 + 5*3 = 30.
-  router.Kill(w1_addr);
-  distrib::FaultReport report;
-  auto r = (*session)->Run({}, {total.name()}, recovery, &report);
-  ASSERT_TRUE(r.ok()) << r.status().ToString() << " " << report.ToString();
-  EXPECT_DOUBLE_EQ((*r)[0].scalar<double>(), 30.0);
-  EXPECT_EQ(report.workers_evicted, 1) << report.ToString();
-
-  monitor.Stop();
-  (void)checkpoints.WaitForPending();
-  std::error_code ec;
-  std::filesystem::remove_all(ckpt_dir, ec);
 }
 
 }  // namespace

@@ -1,14 +1,19 @@
 // Tests for the graph partitioner and DistributedSession: cross-task data
-// and control edges become matched _Send/_Recv pairs; a multi-task graph
-// runs distributed and agrees with local execution.
+// and control edges become matched _Send/_Recv pairs, one per edge; a
+// multi-task graph runs distributed and agrees with local execution, also
+// across an EvictAndRebuild re-ship.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <set>
 
+#include "analysis/verifier.h"
 #include "core/rng.h"
 #include "distrib/dist_session.h"
 #include "distrib/server.h"
 #include "graph/ops.h"
+#include "io/checkpoint.h"
 #include "runtime/session.h"
 
 namespace tfhpc::distrib {
@@ -362,7 +367,8 @@ TEST(RunStepRequestTest, StepHandleRoundTrip) {
   auto r = RunStepRequest::Parse(req.Serialize());
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->step_handle, 99u);
-  // Legacy requests omit the field and parse to the "no handle" sentinel.
+  // A request without the field parses to the "no handle" sentinel, which
+  // the server refuses.
   auto legacy = RunStepRequest::Parse(RunStepRequest{}.Serialize());
   ASSERT_TRUE(legacy.ok());
   EXPECT_EQ(legacy->step_handle, 0u);
@@ -492,6 +498,165 @@ TEST(DistStepEvictionTest, EvictedHandleIsTransparentlyReRegistered) {
   EXPECT_EQ((*session)->plans_compiled(), 2)
       << "re-registration must not recompile the client-side plan";
   EXPECT_EQ((*session)->plan_cache_hits(), 2);
+}
+
+// ---- Cross edges into one consumer ------------------------------------------
+// Each cross-task edge keeps its own _Send/_Recv pair even when several feed
+// the same consumer, and each pair crosses the wire on its own.
+
+TEST(SharedConsumerSendTest, EachCrossEdgeGetsItsOwnSendRecvPair) {
+  Graph g;
+  Scope s(&g);
+  auto t0 = s.WithDevice("/job:worker/task:0/cpu:0");
+  auto t1 = s.WithDevice("/job:worker/task:1/cpu:0");
+  auto a = ops::Const(t0, Tensor::Scalar(2.0), "a");
+  auto b = ops::Const(t0, Tensor::Scalar(3.0), "b");
+  auto sum = ops::Add(t1, a, b);  // both cross edges feed the same consumer
+
+  auto spec = ClusterSpec::Create(TwoWorkers()).value();
+  auto parts = PartitionGraph(g, spec, DefaultDev());
+  ASSERT_TRUE(parts.ok()) << parts.status().ToString();
+  EXPECT_EQ(CountOp(parts->partitions.at("pt-w0:1"), "_Send"), 2);
+  EXPECT_EQ(CountOp(parts->partitions.at("pt-w1:1"), "_Recv"), 2);
+
+  // One SendDef per edge, each naming the Add as its consumer.
+  const auto& sends = parts->sends.at("pt-w0:1");
+  ASSERT_EQ(sends.size(), 2u);
+  std::set<std::string> producers;
+  for (const SendDef& sd : sends) {
+    EXPECT_FALSE(sd.control);
+    EXPECT_EQ(sd.consumers, std::vector<std::string>{sum.node->name()});
+    producers.insert(sd.producer);
+  }
+  EXPECT_EQ(producers, (std::set<std::string>{"a", "b"}));
+
+  const auto diags = analysis::VerifyPartitions(parts->partitions);
+  EXPECT_FALSE(analysis::HasErrors(diags))
+      << analysis::FormatDiagnostics(diags);
+}
+
+TEST(SharedConsumerSendTest, SendsRoundTripThroughServers) {
+  InProcessRouter router;
+  auto spec = ClusterSpec::Create(TwoWorkers()).value();
+  auto w0 = Server::Create({spec, "worker", 0, 1}, &router).value();
+  auto w1 = Server::Create({spec, "worker", 1, 1}, &router).value();
+
+  Graph g;
+  Scope s(&g);
+  auto t0 = s.WithDevice("/job:worker/task:0/cpu:0");
+  auto t1 = s.WithDevice("/job:worker/task:1/cpu:0");
+  auto x = ops::Placeholder(t0, DType::kF64, Shape{3}, "x");
+  auto p = ops::Mul(t0, x, ops::Const(t0, Tensor::Scalar(2.0)));
+  auto q = ops::Mul(t0, x, ops::Const(t0, Tensor::Scalar(3.0)));
+  auto y = ops::Add(t1, p, q);  // p and q cross to the same consumer
+
+  auto session = DistributedSession::Create(&router, spec, WireProtocol::kRdma,
+                                            g.ToGraphDef(), DefaultDev());
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+
+  const Tensor feed = Tensor::FromVector(std::vector<double>{1, 2, 3});
+  for (int step = 0; step < 2; ++step) {
+    auto r = (*session)->Run({{"x", feed}}, {y.name()});
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_DOUBLE_EQ((*r)[0].data<double>()[0], 5.0);
+    EXPECT_DOUBLE_EQ((*r)[0].data<double>()[1], 10.0);
+    EXPECT_DOUBLE_EQ((*r)[0].data<double>()[2], 15.0);
+  }
+}
+
+TEST(SharedConsumerSendTest, SendsSurviveEvictAndRebuild) {
+  const std::string tag = "cv";
+  const std::string w0_addr = tag + "-w0:1";
+  const std::string w1_addr = tag + "-w1:1";
+  const std::string spare_addr = tag + "-spare:1";
+  auto mk_cluster = [](const std::vector<std::string>& addrs) {
+    wire::ClusterDef def;
+    wire::JobDef workers;
+    workers.name = "worker";
+    workers.task_addrs = addrs;
+    def.jobs = {workers};
+    return ClusterSpec::Create(def).value();
+  };
+  ClusterSpec cluster = mk_cluster({w0_addr, w1_addr});
+  ClusterSpec spare_cluster = mk_cluster({w0_addr, spare_addr});
+
+  InProcessRouter router;
+  RetryPolicy send_retry = RetryPolicy::Aggressive(1000);
+  ServerDef d0{cluster, "worker", 0, 0};
+  ServerDef d1{cluster, "worker", 1, 0};
+  ServerDef ds{spare_cluster, "worker", 1, 0};
+  d0.send_retry = d1.send_retry = ds.send_retry = send_retry;
+  auto w0 = Server::Create(d0, &router).value();
+  auto w1 = Server::Create(d1, &router).value();
+  auto spare = Server::Create(ds, &router).value();
+
+  HealthOptions health;
+  health.heartbeat_interval_ms = 5;
+  health.suspect_after_ms = 40;
+  health.dead_after_ms = 120;
+  HealthMonitor monitor(&router, health);
+  monitor.Watch(w0_addr);
+  monitor.Watch(w1_addr);
+  monitor.Start();
+
+  const std::string ckpt_dir = ::testing::TempDir() + "/shared_send_evict";
+  std::filesystem::remove_all(ckpt_dir);
+  io::CheckpointManager checkpoints(
+      io::CheckpointManagerOptions{ckpt_dir, "job", 3});
+
+  // acc += 1 on task 0; its doubled and tripled views cross to task 1 as
+  // two sends into the same consumer; sum += 5*acc on task 1.
+  Graph g;
+  Scope s(&g);
+  auto t0 = s.WithDevice("/job:worker/task:0/cpu:0");
+  auto t1 = s.WithDevice("/job:worker/task:1/cpu:0");
+  auto acc = ops::Variable(t0, "acc", DType::kF64, Shape{});
+  auto bump = ops::AssignAdd(t0, acc, ops::Const(t0, Tensor::Scalar(1.0)));
+  auto p = ops::Mul(t0, bump, ops::Const(t0, Tensor::Scalar(2.0)));
+  auto q = ops::Mul(t0, bump, ops::Const(t0, Tensor::Scalar(3.0)));
+  auto sum = ops::Variable(t1, "sum", DType::kF64, Shape{});
+  auto total = ops::AssignAdd(t1, sum, ops::Add(t1, p, q));
+
+  auto session = DistributedSession::Create(
+      &router, cluster, WireProtocol::kRdma, g.ToGraphDef(), DefaultDev());
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  ASSERT_TRUE(RemoteTask(&router, w0_addr, WireProtocol::kRdma)
+                  .VarAssign("acc", Tensor::Scalar(0.0))
+                  .ok());
+  ASSERT_TRUE(RemoteTask(&router, w1_addr, WireProtocol::kRdma)
+                  .VarAssign("sum", Tensor::Scalar(0.0))
+                  .ok());
+
+  StepRecoveryOptions recovery;
+  recovery.max_step_attempts = 3;
+  recovery.rpc_retry = RetryPolicy::Aggressive(500);
+  recovery.health = &monitor;
+  recovery.checkpoints = &checkpoints;
+  recovery.checkpoint_every_n_steps = 1;
+  recovery.spare_addrs = {spare_addr};
+  recovery.dead_verdict_wait_ms = 5000;
+
+  // Two clean steps: acc=1,sum=5 then acc=2,sum=15.
+  for (int step = 1; step <= 2; ++step) {
+    auto r = (*session)->Run({}, {total.name()}, recovery, nullptr);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+  }
+  ASSERT_TRUE(checkpoints.WaitForPending().ok());
+
+  // Kill the consumer task. The rebuild re-partitions, ships the consumer's
+  // partition (both _Recvs) to the spare and the step completes with the
+  // restored state: sum = 15 + 5*3 = 30.
+  router.Kill(w1_addr);
+  FaultReport report;
+  auto r = (*session)->Run({}, {total.name()}, recovery, &report);
+  ASSERT_TRUE(r.ok()) << r.status().ToString() << " " << report.ToString();
+  EXPECT_DOUBLE_EQ((*r)[0].scalar<double>(), 30.0);
+  EXPECT_EQ(report.workers_evicted, 1) << report.ToString();
+
+  monitor.Stop();
+  (void)checkpoints.WaitForPending();
+  std::error_code ec;
+  std::filesystem::remove_all(ckpt_dir, ec);
 }
 
 }  // namespace

@@ -207,6 +207,10 @@ TEST_F(CrossTaskTest, FaultDuringRemoteSendPropagatesToStep) {
   auto r = w0_->NewSession()->Run({}, {}, {send.node->name()});
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), Code::kUnavailable);
+  // The send went out through RemoteTask, whose errors name the callee.
+  EXPECT_NE(r.status().message().find("xt1:1/RendezvousSend"),
+            std::string::npos)
+      << r.status().ToString();
 }
 
 // ---- QueueBarrier --------------------------------------------------------------------

@@ -166,6 +166,25 @@ TEST_F(ExecutorTest, UnknownFetchIsError) {
             Code::kNotFound);
 }
 
+TEST_F(ExecutorTest, OutOfRangeFetchSlotFailsBeforeTheStepRuns) {
+  // "a:3" names an output a one-output Const does not have. The Run must
+  // fail at compile time, before the stateful target beside it applies.
+  Scope s = rt_.root_scope();
+  ops::Const(s, Tensor::Scalar(1.0), "a");
+  auto v = ops::Variable(s, "v", DType::kF64, Shape{});
+  auto init = ops::Assign(s, v, ops::Const(s, Tensor::Scalar(0.0)));
+  auto bump = ops::AssignAdd(s, v, ops::Const(s, Tensor::Scalar(1.0)));
+  auto sess = rt_.NewSession();
+  ASSERT_TRUE(sess->Run({}, {}, {init.node->name()}).ok());
+
+  auto r = sess->Run({}, {"a:3"}, {bump.node->name()});
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), Code::kOutOfRange) << r.status().ToString();
+  auto value = sess->Run({}, {v.name()});
+  ASSERT_TRUE(value.ok()) << value.status().ToString();
+  EXPECT_DOUBLE_EQ((*value)[0].scalar<double>(), 0.0);
+}
+
 TEST_F(ExecutorTest, DiamondDependencyExecutesOnce) {
   Scope s = rt_.root_scope();
   auto a = ops::Const(s, Tensor::Scalar(2.0));

@@ -468,7 +468,8 @@ TEST_F(ServingServerTest, ClientRefusesExpiredTokenWithoutAnRpc) {
   auto token = CancellationToken::WithTimeout(1);
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   const int64_t calls_before = router_.stats(WireProtocol::kRdma).calls.load();
-  auto r = w0.RunStep({}, {"whatever"}, {}, false, token.get());
+  // Any handle will do: the client refuses before any RPC.
+  auto r = w0.RunRegisteredStep(/*handle=*/1, {}, false, token.get());
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), Code::kDeadlineExceeded);
   EXPECT_EQ(router_.stats(WireProtocol::kRdma).calls.load(), calls_before);
@@ -484,15 +485,19 @@ TEST_F(ServingServerTest, DeadlineBoundsServerSideRecvWait) {
   auto ok = ops::Const(s, Tensor::Scalar(5.0), "ok_const");
   RemoteTask w0(&router_, "sv-w0:1", WireProtocol::kRdma);
   ASSERT_TRUE(w0.ExtendGraph(g.ToGraphDef()).ok());
+  auto got_step = w0.RegisterStep({}, {got.name()});
+  auto ok_step = w0.RegisterStep({}, {ok.name()});
+  ASSERT_TRUE(got_step.ok()) << got_step.status().ToString();
+  ASSERT_TRUE(ok_step.ok()) << ok_step.status().ToString();
 
   auto token = CancellationToken::WithTimeout(150);
   const auto start = std::chrono::steady_clock::now();
-  auto r = w0.RunStep({}, {got.name()}, {}, false, token.get());
+  auto r = w0.RunRegisteredStep(*got_step, {}, false, token.get());
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), Code::kDeadlineExceeded) << r.status().ToString();
   EXPECT_GE(ElapsedMs(start), 100);
   EXPECT_LT(ElapsedMs(start), 10000) << "deadline must bound the step";
-  auto r2 = w0.RunStep({}, {ok.name()});
+  auto r2 = w0.RunRegisteredStep(*ok_step, {});
   ASSERT_TRUE(r2.ok()) << r2.status().ToString();
   EXPECT_DOUBLE_EQ((*r2)[0].scalar<double>(), 5.0);
 }
@@ -503,12 +508,14 @@ TEST_F(ServingServerTest, AbortStepCancelsRecvWaiterInRunningStep) {
   auto got = ops::Recv(s, "abort_me");
   RemoteTask w0(&router_, "sv-w0:1", WireProtocol::kRdma);
   ASSERT_TRUE(w0.ExtendGraph(g.ToGraphDef()).ok());
+  auto handle = w0.RegisterStep({}, {got.name()});
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
 
   std::thread aborter([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     RemoteTask(&router_, "sv-w0:1", WireProtocol::kRdma).AbortStep("test");
   });
-  auto r = w0.RunStep({}, {got.name()});
+  auto r = w0.RunRegisteredStep(*handle, {});
   aborter.join();
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), Code::kCancelled) << r.status().ToString();
@@ -583,6 +590,8 @@ TEST_F(ServingServerTest, AdmissionControlShedsExcessRunSteps) {
   auto got = ops::Recv(s, "adm_gate");
   RemoteTask setup(&router_, "sv-adm:1", WireProtocol::kRdma);
   ASSERT_TRUE(setup.ExtendGraph(g.ToGraphDef()).ok());
+  auto handle = setup.RegisterStep({}, {got.name()});
+  ASSERT_TRUE(handle.ok()) << handle.status().ToString();
 
   constexpr int kClients = 8;
   std::vector<std::thread> clients;
@@ -592,7 +601,7 @@ TEST_F(ServingServerTest, AdmissionControlShedsExcessRunSteps) {
       RemoteTask c(&router_, "sv-adm:1", WireProtocol::kRdma);
       auto token = CancellationToken::WithTimeout(3000);
       results[i] =
-          c.RunStep({}, {got.name()}, {}, false, token.get()).status();
+          c.RunRegisteredStep(*handle, {}, false, token.get()).status();
     });
   }
   // Let the herd arrive, then feed the gate enough tensors for everyone the
