@@ -71,10 +71,8 @@ int main() {
       for (int r = 0; r < rounds; ++r) {
         wire::RpcEnvelope req;
         req.method = "VarWrite";
-        req.payload =
-            view ? distrib::EncodeVarPayloadView("v", &payload, false, false)
-                 : wire::PayloadRef(
-                       distrib::EncodeVarPayload("v", &payload, false, false));
+        req.payload = distrib::EncodeVarPayloadView("v", &payload, false, false);
+        if (!view) req.payload = wire::PayloadRef(req.payload.Flatten());
         req.checksum = wire::PayloadChecksum(req.payload);
         auto resp = router.Call("zc:0", p.proto, req);
         TFHPC_CHECK(resp.ok()) << resp.status().ToString();

@@ -98,6 +98,24 @@ echo "==== memplan ablation smoke ===="
 (cd "$repo/build" && ./bench/ablation_memplan --smoke)
 echo "==== memplan ablation: bit-identical, bounds sound, allocs reduced ===="
 
+# Golden-output gate: the DES figure/table benches and the zero-copy
+# ablation's transport counts are deterministic, so each must print exactly
+# its committed bench/golden/<bench>.txt (about 10 s in all). The one
+# wall-clock figure, fig11's merge time, is masked on both sides. A change
+# that moves an output updates the file and says why. fig8_matmul runs real
+# GEMMs for minutes and stays a manual check. To regenerate a file:
+#   (cd build && ./bench/<bench>) | sed -E "$golden_mask" > bench/golden/<bench>.txt
+echo "==== golden outputs: deterministic benches match bench/golden ===="
+golden_mask='s/(merge excluded from timing: )[0-9.]+s/\1<wall>s/'
+for bench in fig7_stream fig10_cg fig11_fft table1_platforms ablation_zerocopy; do
+  if ! (cd "$repo/build" && "./bench/$bench") | sed -E "$golden_mask" |
+      diff -u "$repo/bench/golden/$bench.txt" -; then
+    echo "golden: $bench output differs from bench/golden/$bench.txt" >&2
+    exit 1
+  fi
+done
+echo "==== golden outputs: all match ===="
+
 # ctest -R filters of the sanitizer legs below. Every '|' term must match at
 # least one test of the tier-1 build (which registers the same tests as the
 # sanitizer builds), so a renamed suite cannot drop out of a leg silently.

@@ -32,6 +32,14 @@ std::string FormatDiagnostics(const std::vector<Diagnostic>& diags) {
   return out;
 }
 
+std::string FormatErrors(const std::vector<Diagnostic>& diags) {
+  std::string out;
+  for (const Diagnostic& d : diags) {
+    if (d.severity == Severity::kError) out += d.ToString() + '\n';
+  }
+  return out;
+}
+
 bool HasErrors(const std::vector<Diagnostic>& diags) {
   for (const Diagnostic& d : diags) {
     if (d.severity == Severity::kError) return true;

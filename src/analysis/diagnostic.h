@@ -54,6 +54,8 @@ struct Diagnostic {
 };
 
 std::string FormatDiagnostics(const std::vector<Diagnostic>& diags);
+// FormatDiagnostics over the ERROR findings of `diags` alone.
+std::string FormatErrors(const std::vector<Diagnostic>& diags);
 bool HasErrors(const std::vector<Diagnostic>& diags);
 int CountAtLeast(const std::vector<Diagnostic>& diags, Severity floor);
 

@@ -1,9 +1,11 @@
 // Static tensor liveness over a GraphDef closure: for every output tensor of
 // every scheduled node, when does it come alive and when is it provably dead?
 //
-// The schedule mirrors Executor::CompileOn exactly — the fetch/target closure
-// with feeds as cut points, in topological order — so the intervals computed
-// here describe the tensors the executor will actually materialize:
+// The schedule mirrors Executor::Compile exactly — the fetch/target closure
+// with feeds as cut points (Graph::ReachableTo), in topological order — so
+// the intervals computed here describe the tensors the executor will
+// actually materialize. (The walk runs over the GraphDef, not a Graph, so it
+// can also analyse graphs Graph::AddNode would reject.) Lifetimes:
 //
 //   * fed tensors are live from step start (the caller owns them before the
 //     first node runs);
@@ -100,7 +102,7 @@ class LivenessAnalysis {
   bool DeadBefore(const TensorLife& t, int pos) const;
 
   // Builds liveness for the signature's fetch/target closure (feeds cut the
-  // walk, exactly like Executor::CompileOn). With no fetches/targets the
+  // walk, exactly like Executor::Compile). With no fetches/targets the
   // whole graph is analyzed (graphcheck CLI mode) and nothing is marked
   // fetched. `annotations` are VerifyGraph's inferred output facts; slots
   // without a fully-known annotation become dynamic (bytes = -1).

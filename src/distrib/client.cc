@@ -98,7 +98,8 @@ Result<Tensor> RemoteTask::Dequeue(const std::string& queue, int64_t capacity,
                                    CancellationToken* token) {
   TFHPC_ASSIGN_OR_RETURN(
       wire::PayloadRef payload,
-      Call("Dequeue", EncodeQueuePayload(queue, nullptr, capacity), token));
+      Call("Dequeue", EncodeQueuePayloadView(queue, nullptr, capacity),
+           token));
   TFHPC_ASSIGN_OR_RETURN(Tensor t, wire::ParseTensorView(payload));
   // In-process zero-copy transports hand back the server's buffer: release
   // the payload's reference so a sole-owner tensor detaches in place, then
@@ -110,7 +111,7 @@ Result<Tensor> RemoteTask::Dequeue(const std::string& queue, int64_t capacity,
 }
 
 Status RemoteTask::CloseQueue(const std::string& queue) {
-  auto r = Call("CloseQueue", EncodeQueuePayload(queue, nullptr, 0));
+  auto r = Call("CloseQueue", EncodeQueuePayloadView(queue, nullptr, 0));
   return r.ok() ? Status::OK() : r.status();
 }
 
@@ -131,7 +132,8 @@ Status RemoteTask::VarAssignAdd(const std::string& var, const Tensor& tensor) {
 Result<Tensor> RemoteTask::VarRead(const std::string& var) {
   TFHPC_ASSIGN_OR_RETURN(
       wire::PayloadRef payload,
-      Call("VarRead", EncodeVarPayload(var, nullptr, false, false)));
+      Call("VarRead", EncodeVarPayloadView(var, nullptr, /*accumulate=*/false,
+                                           /*want_value=*/false)));
   TFHPC_ASSIGN_OR_RETURN(Tensor t, wire::ParseTensorView(payload));
   // The view may alias the live server-side variable: detach (copying if
   // still shared) so the result neither aliases mutable server state nor

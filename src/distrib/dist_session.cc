@@ -6,8 +6,6 @@
 #include <mutex>
 #include <thread>
 
-#include "analysis/liveness.h"
-#include "analysis/memory_plan.h"
 #include "analysis/verifier.h"
 
 namespace tfhpc::distrib {
@@ -75,51 +73,28 @@ Result<std::unique_ptr<DistributedSession>> DistributedSession::Create(
     InProcessRouter* router, const ClusterSpec& cluster, WireProtocol protocol,
     const wire::GraphDef& def, const DeviceName& default_device,
     const DistSessionOptions& options) {
-  // GraphCheck over the whole client graph before any partitioning work: a
-  // graph that cannot run on one task cannot run split across many.
-  {
-    const analysis::GraphAnalysis analysis = analysis::VerifyGraph(def);
-    if (analysis.has_errors()) {
-      std::vector<analysis::Diagnostic> errors;
-      for (const auto& d : analysis.diagnostics) {
-        if (d.severity == analysis::Severity::kError) errors.push_back(d);
-      }
-      return InvalidArgument("graphcheck rejected the client graph:\n" +
-                             analysis::FormatDiagnostics(errors));
-    }
+  // GraphCheck over the whole client graph before any partitioning work (a
+  // graph that cannot run on one task cannot run split across many), then
+  // the optimizer pipeline in whole-graph mode: no run signature exists
+  // yet, so every terminal and stateful node is a root.
+  optimizer::PipelineOptions popts;
+  popts.level = options.optimizer_level;
+  popts.preserve = options.preserve_nodes;
+  TFHPC_ASSIGN_OR_RETURN(
+      optimizer::CheckedGraph checked,
+      optimizer::VerifyAndOptimize(def, analysis::AnalysisOptions{}, popts));
+  if (analysis::HasErrors(checked.findings)) {
+    return InvalidArgument("graphcheck rejected the client graph:\n" +
+                           analysis::FormatErrors(checked.findings));
   }
-
-  // Optimizer pipeline before partitioning, in whole-graph mode (no run
-  // signature exists yet). Like Session::Prepare, the rewrite must
-  // re-verify: a pass bug is a Create failure, never a shipped miscompile.
-  wire::GraphDef working = def;
-  if (options.optimizer_level != optimizer::OptimizerLevel::kOff) {
-    optimizer::PipelineOptions popts;
-    popts.level = options.optimizer_level;
-    popts.preserve = options.preserve_nodes;
-    TFHPC_ASSIGN_OR_RETURN(optimizer::PipelineResult rewritten,
-                           optimizer::RunPassPipeline(working, popts));
-    const analysis::GraphAnalysis post = analysis::VerifyGraph(rewritten.graph);
-    if (post.has_errors()) {
-      std::vector<analysis::Diagnostic> errors;
-      for (const auto& d : post.diagnostics) {
-        if (d.severity == analysis::Severity::kError) errors.push_back(d);
-      }
-      return Internal(
-          std::string("optimizer produced an invalid client graph (level ") +
-          optimizer::OptimizerLevelName(options.optimizer_level) + "):\n" +
-          analysis::FormatDiagnostics(errors));
-    }
-    working = std::move(rewritten.graph);
-  }
-
-  TFHPC_ASSIGN_OR_RETURN(std::unique_ptr<Graph> graph,
-                         Graph::FromGraphDef(working));
+  TFHPC_ASSIGN_OR_RETURN(
+      std::unique_ptr<Graph> graph,
+      Graph::FromGraphDef(checked.rewrite ? *checked.rewrite : def));
   TFHPC_ASSIGN_OR_RETURN(PartitionResult parts,
                          PartitionGraph(*graph, cluster, default_device));
 
   std::unique_ptr<DistributedSession> session(new DistributedSession(
-      router, protocol, cluster, working, default_device));
+      router, protocol, cluster, std::move(graph), default_device));
   TFHPC_RETURN_IF_ERROR(
       session->ShipPartitions(parts, RetryPolicy::NoRetry()));
   return session;
@@ -232,29 +207,10 @@ DistributedSession::GetOrBuildStepPlan(
 
   // Fetch closure over the *client* graph (original nodes only — sends and
   // recvs are a per-partition artifact handled below).
-  std::map<std::string, const wire::NodeDef*> by_name;
-  for (const auto& nd : def_.nodes) by_name.emplace(nd.name, &nd);
-
+  TFHPC_ASSIGN_OR_RETURN(const std::vector<int> closure_ids,
+                         graph_->ReachableTo(fetches, fed));
   std::set<std::string> closure;
-  std::vector<std::string> stack;
-  for (const std::string& fetch : fetches) {
-    std::string name = ParseTensorRef(fetch).name;
-    if (!node_task_.count(name)) {
-      return NotFound("fetch of unknown node " + fetch);
-    }
-    stack.push_back(std::move(name));
-  }
-  while (!stack.empty()) {
-    std::string name = std::move(stack.back());
-    stack.pop_back();
-    if (!closure.insert(name).second) continue;
-    if (fed.count(name)) continue;  // fed: its inputs are not needed
-    auto it = by_name.find(name);
-    if (it == by_name.end()) continue;
-    for (const std::string& input : it->second->inputs) {
-      stack.push_back(ParseTensorRef(input).name);
-    }
-  }
+  for (int id : closure_ids) closure.insert(graph_->node(id)->name());
 
   // Split the closure per partition. Targets are the partition's unfed
   // closure nodes plus its active sends: a send runs iff some consumer
@@ -302,50 +258,11 @@ DistributedSession::GetOrBuildStepPlan(
     plan->parts[it->second].feed_keys.push_back(feed_key);
   }
 
-  // Static memory planning per involved partition: rebuild each partition's
-  // shipped graph and run liveness + arena planning over exactly this
-  // signature's share (feeds route as cut points, fetches/targets as
-  // roots). The recorded peak is a sound per-task bound: the worker-side
-  // executor runs the same closure under the same happens-before order. A
-  // partition that can't be planned (verification findings, dynamic
-  // shapes, structural surprises) keeps peak 0 — planning is advisory for
-  // the step plan, never a reason to refuse the step.
-  for (auto& part : plan->parts) {
-    const auto sh = shipped_.find(part.addr);
-    if (sh == shipped_.end()) continue;
-    wire::GraphDef pdef;
-    pdef.nodes.reserve(sh->second.size());
-    for (const auto& [node_name, nd] : sh->second) pdef.nodes.push_back(nd);
-    analysis::AnalysisOptions aopts;
-    aopts.feeds = part.feed_keys;
-    aopts.fetches = part.fetches;
-    aopts.targets = part.targets;
-    const analysis::GraphAnalysis ga = analysis::VerifyGraph(pdef, aopts);
-    if (ga.has_errors()) continue;
-    auto live = analysis::LivenessAnalysis::Compute(pdef, aopts,
-                                                    ga.annotations);
-    if (!live.ok()) continue;
-    part.static_peak_bytes =
-        analysis::MemoryPlan::Plan(*live).static_peak_bytes();
-  }
-
   std::lock_guard<std::mutex> lk(step_mu_);
   auto [it, inserted] = step_cache_.emplace(key, plan);
   if (!inserted) return it->second;  // concurrent compile won the race
   ++plans_compiled_;
   return plan;
-}
-
-Result<std::map<std::string, int64_t>> DistributedSession::PartitionStaticPeaks(
-    const std::map<std::string, Tensor>& feeds,
-    const std::vector<std::string>& fetches) {
-  TFHPC_ASSIGN_OR_RETURN(std::shared_ptr<CompiledStep> plan,
-                         GetOrBuildStepPlan(feeds, fetches));
-  std::map<std::string, int64_t> peaks;
-  for (const auto& part : plan->parts) {
-    peaks.emplace(part.addr, part.static_peak_bytes);
-  }
-  return peaks;
 }
 
 Result<std::string> DistributedSession::TaskOf(
@@ -674,15 +591,16 @@ Status DistributedSession::EvictAndRebuild(const std::string& dead_addr,
                                 dead_addr + " died");
     }
     TFHPC_ASSIGN_OR_RETURN(auto adoptive_slot, rebuilt->FindTask(adoptive));
-    // Re-place the dead task's nodes: rewrite their device strings to the
-    // adoptive slot, preserving device type/index where specified.
-    for (auto& nd : def_.nodes) {
-      auto owner = node_task_.find(nd.name);
-      if (owner == node_task_.end() || owner->second != dead_addr) continue;
-      TFHPC_ASSIGN_OR_RETURN(DeviceName dev, DeviceName::Parse(nd.device));
+    // Re-place the dead task's nodes: re-pin them to the adoptive slot,
+    // preserving device type/index where specified.
+    for (const auto& [name, owner] : node_task_) {
+      if (owner != dead_addr) continue;
+      TFHPC_ASSIGN_OR_RETURN(
+          DeviceName dev,
+          DeviceName::Parse(graph_->FindNode(name)->requested_device()));
       dev.job = adoptive_slot.first;
       dev.task = adoptive_slot.second;
-      nd.device = dev.ToString();
+      TFHPC_RETURN_IF_ERROR(graph_->SetNodeDevice(name, dev.ToString()));
     }
     successor = adoptive;
     record->shrunk = true;
@@ -694,10 +612,8 @@ Status DistributedSession::EvictAndRebuild(const std::string& dead_addr,
 
   // Re-partition the (possibly re-placed) graph against the rebuilt cluster
   // and ship the diff: survivors receive only nodes they don't have yet.
-  TFHPC_ASSIGN_OR_RETURN(std::unique_ptr<Graph> graph,
-                         Graph::FromGraphDef(def_));
   TFHPC_ASSIGN_OR_RETURN(PartitionResult parts,
-                         PartitionGraph(*graph, cluster_, default_device_));
+                         PartitionGraph(*graph_, cluster_, default_device_));
   TFHPC_RETURN_IF_ERROR(ShipPartitions(parts, recovery.rpc_retry));
 
   if (recovery.health != nullptr && !spare.empty()) {

@@ -199,12 +199,6 @@ class DistributedSession {
   // Step plans compiled (cache misses); repeat signatures reuse a plan.
   int64_t plans_compiled() const { return plans_compiled_; }
   int64_t plan_cache_hits() const { return plan_cache_hits_; }
-  // Per-partition static memory peaks recorded in this signature's step
-  // plan: task addr -> static peak bytes (0 = unplannable partition).
-  // Compiles and caches the plan on miss, same as Run would.
-  Result<std::map<std::string, int64_t>> PartitionStaticPeaks(
-      const std::map<std::string, Tensor>& feeds,
-      const std::vector<std::string>& fetches);
   size_t plan_cache_size() const {
     std::lock_guard<std::mutex> lk(step_mu_);
     return step_cache_.size();
@@ -212,12 +206,12 @@ class DistributedSession {
 
  private:
   DistributedSession(InProcessRouter* router, WireProtocol protocol,
-                     ClusterSpec cluster, wire::GraphDef def,
+                     ClusterSpec cluster, std::unique_ptr<Graph> graph,
                      DeviceName default_device)
       : router_(router),
         protocol_(protocol),
         cluster_(std::move(cluster)),
-        def_(std::move(def)),
+        graph_(std::move(graph)),
         default_device_(default_device) {}
 
   struct Partition {
@@ -235,11 +229,6 @@ class DistributedSession {
       std::vector<std::string> fetches;    // this partition's share
       std::vector<size_t> fetch_positions;  // into the global result
       std::vector<std::string> targets;  // closure nodes + active sends
-      // Static peak bytes of this partition's share of the step (liveness
-      // analysis + memory plan over the shipped partition graph, scoped to
-      // this signature's feeds/fetches/targets). 0 when the partition graph
-      // could not be planned (dynamic shapes, verification findings).
-      int64_t static_peak_bytes = 0;
       uint64_t handle = 0;  // 0 = not registered yet (guarded by handles_mu)
     };
     std::vector<Part> parts;
@@ -299,7 +288,9 @@ class DistributedSession {
   InProcessRouter* router_;
   WireProtocol protocol_;
   ClusterSpec cluster_;
-  wire::GraphDef def_;          // current graph (devices rewritten on shrink)
+  // The client graph, after the optimizer; a shrink re-pins the dead
+  // task's nodes in place (Graph::SetNodeDevice) and re-partitions it.
+  std::unique_ptr<Graph> graph_;
   DeviceName default_device_;
   std::vector<Partition> partitions_;
   std::map<std::string, std::string> node_task_;

@@ -71,16 +71,56 @@ size_t ReplayCache::size() const {
 
 // ----- payload codecs ---------------------------------------------------------
 
+namespace {
+
+// One entry of a name -> tensor map, as field 1 of its message:
+// {1: name, 2: tensor}. RunStepRequest feeds and VarSnapshot/VarRestore
+// payloads share it.
+void WriteNamedTensor(wire::CodedOutput& co, const std::string& name,
+                      const Tensor& tensor) {
+  std::string entry;
+  wire::CodedOutput eo(&entry);
+  eo.WriteString(1, name);
+  eo.WriteMessage(2, wire::SerializeTensor(tensor));
+  co.WriteMessage(1, entry);
+}
+
+// Reads the entry whose field-1 tag `in` just read into `out`. An entry
+// without a name is kInvalidArgument: it could bind to nothing.
+Status ReadNamedTensor(wire::CodedInput& in,
+                       std::map<std::string, Tensor>* out) {
+  const uint8_t* d;
+  size_t s;
+  TFHPC_RETURN_IF_ERROR(in.ReadBytesView(&d, &s));
+  wire::CodedInput ein(d, s);
+  std::string name;
+  Tensor tensor;
+  while (!ein.AtEnd()) {
+    uint32_t field;
+    wire::WireType wt;
+    TFHPC_RETURN_IF_ERROR(ein.ReadTag(&field, &wt));
+    if (field == 1) {
+      TFHPC_RETURN_IF_ERROR(ein.ReadString(&name));
+    } else if (field == 2) {
+      const uint8_t* td;
+      size_t ts;
+      TFHPC_RETURN_IF_ERROR(ein.ReadBytesView(&td, &ts));
+      TFHPC_ASSIGN_OR_RETURN(tensor, wire::ParseTensor(td, ts));
+    } else {
+      TFHPC_RETURN_IF_ERROR(ein.SkipField(wt));
+    }
+  }
+  if (name.empty()) return InvalidArgument("named tensor entry without name");
+  out->emplace(std::move(name), std::move(tensor));
+  return Status::OK();
+}
+
+}  // namespace
+
 std::string RunStepRequest::Serialize() const {
   std::string out;
   wire::CodedOutput co(&out);
-  for (const auto& [name, tensor] : feeds) {
-    std::string entry;
-    wire::CodedOutput eo(&entry);
-    eo.WriteString(1, name);
-    eo.WriteMessage(2, wire::SerializeTensor(tensor));
-    co.WriteMessage(1, entry);
-  }
+  for (const auto& [name, tensor] : feeds) WriteNamedTensor(co, name, tensor);
   co.WriteBool(4, simulate);
   if (step_handle != 0) co.WriteUInt64(5, step_handle);
   return out;
@@ -94,31 +134,9 @@ Result<RunStepRequest> RunStepRequest::Parse(std::string_view payload) {
     wire::WireType wt;
     TFHPC_RETURN_IF_ERROR(in.ReadTag(&field, &wt));
     switch (field) {
-      case 1: {
-        const uint8_t* d;
-        size_t s;
-        TFHPC_RETURN_IF_ERROR(in.ReadBytesView(&d, &s));
-        wire::CodedInput ein(d, s);
-        std::string name;
-        Tensor tensor;
-        while (!ein.AtEnd()) {
-          uint32_t ef;
-          wire::WireType ewt;
-          TFHPC_RETURN_IF_ERROR(ein.ReadTag(&ef, &ewt));
-          if (ef == 1) {
-            TFHPC_RETURN_IF_ERROR(ein.ReadString(&name));
-          } else if (ef == 2) {
-            const uint8_t* td;
-            size_t ts;
-            TFHPC_RETURN_IF_ERROR(ein.ReadBytesView(&td, &ts));
-            TFHPC_ASSIGN_OR_RETURN(tensor, wire::ParseTensor(td, ts));
-          } else {
-            TFHPC_RETURN_IF_ERROR(ein.SkipField(ewt));
-          }
-        }
-        req.feeds.emplace(std::move(name), std::move(tensor));
+      case 1:
+        TFHPC_RETURN_IF_ERROR(ReadNamedTensor(in, &req.feeds));
         break;
-      }
       case 4: {
         uint64_t v;
         TFHPC_RETURN_IF_ERROR(in.ReadVarint(&v));
@@ -134,16 +152,6 @@ Result<RunStepRequest> RunStepRequest::Parse(std::string_view payload) {
     }
   }
   return req;
-}
-
-std::string EncodeQueuePayload(const std::string& queue, const Tensor* tensor,
-                               int64_t capacity) {
-  std::string out;
-  wire::CodedOutput co(&out);
-  co.WriteString(1, queue);
-  if (tensor != nullptr) co.WriteMessage(2, wire::SerializeTensor(*tensor));
-  if (capacity > 0) co.WriteUInt64(3, static_cast<uint64_t>(capacity));
-  return out;
 }
 
 namespace {
@@ -275,17 +283,6 @@ Status DecodeVarPayloadView(const wire::PayloadRef& payload, std::string* var,
   return Status::OK();
 }
 
-std::string EncodeVarPayload(const std::string& var, const Tensor* tensor,
-                             bool accumulate, bool want_value) {
-  std::string out;
-  wire::CodedOutput co(&out);
-  co.WriteString(1, var);
-  if (tensor != nullptr) co.WriteMessage(2, wire::SerializeTensor(*tensor));
-  co.WriteBool(3, accumulate);
-  co.WriteBool(4, want_value);
-  return out;
-}
-
 std::string EncodeTensorList(const std::vector<Tensor>& tensors) {
   std::string out;
   wire::CodedOutput co(&out);
@@ -316,13 +313,7 @@ Result<std::vector<Tensor>> DecodeTensorList(std::string_view payload) {
 std::string EncodeNamedTensors(const std::map<std::string, Tensor>& vars) {
   std::string out;
   wire::CodedOutput co(&out);
-  for (const auto& [name, tensor] : vars) {
-    std::string entry;
-    wire::CodedOutput eo(&entry);
-    eo.WriteString(1, name);
-    eo.WriteMessage(2, wire::SerializeTensor(tensor));
-    co.WriteMessage(1, entry);
-  }
+  for (const auto& [name, tensor] : vars) WriteNamedTensor(co, name, tensor);
   return out;
 }
 
@@ -334,33 +325,11 @@ Result<std::map<std::string, Tensor>> DecodeNamedTensors(
     uint32_t field;
     wire::WireType wt;
     TFHPC_RETURN_IF_ERROR(in.ReadTag(&field, &wt));
-    if (field != 1) {
+    if (field == 1) {
+      TFHPC_RETURN_IF_ERROR(ReadNamedTensor(in, &vars));
+    } else {
       TFHPC_RETURN_IF_ERROR(in.SkipField(wt));
-      continue;
     }
-    const uint8_t* d;
-    size_t s;
-    TFHPC_RETURN_IF_ERROR(in.ReadBytesView(&d, &s));
-    wire::CodedInput ein(d, s);
-    std::string name;
-    Tensor tensor;
-    while (!ein.AtEnd()) {
-      uint32_t ef;
-      wire::WireType ewt;
-      TFHPC_RETURN_IF_ERROR(ein.ReadTag(&ef, &ewt));
-      if (ef == 1) {
-        TFHPC_RETURN_IF_ERROR(ein.ReadString(&name));
-      } else if (ef == 2) {
-        const uint8_t* td;
-        size_t ts;
-        TFHPC_RETURN_IF_ERROR(ein.ReadBytesView(&td, &ts));
-        TFHPC_ASSIGN_OR_RETURN(tensor, wire::ParseTensor(td, ts));
-      } else {
-        TFHPC_RETURN_IF_ERROR(ein.SkipField(ewt));
-      }
-    }
-    if (name.empty()) return InvalidArgument("named tensor entry without name");
-    vars.emplace(std::move(name), std::move(tensor));
   }
   return vars;
 }

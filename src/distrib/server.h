@@ -261,16 +261,13 @@ struct RunStepRequest {
   static Result<RunStepRequest> Parse(std::string_view payload);
 };
 
-std::string EncodeQueuePayload(const std::string& queue, const Tensor* tensor,
-                               int64_t capacity);
-std::string EncodeVarPayload(const std::string& var, const Tensor* tensor,
-                             bool accumulate, bool want_value);
-
-// Zero-copy variants: the tensor message is framed last in the payload head
-// and its content bytes ride as a buffer view (see wire::SerializeTensorView).
-// The decoders accept every representation and never copy the frame: a
-// split view payload (RDMA/rendezvous fast path, MPI's staged content), or
-// contiguous bytes read in place (a frame staged by gRPC, inline bytes).
+// Queue and variable payloads. The tensor message is framed last in the
+// payload head and its content bytes ride as a buffer view (see
+// wire::SerializeTensorView); a null tensor leaves the field out, so the
+// payload is inline bytes. The decoders accept every representation and
+// never copy the frame: a split view payload (RDMA/rendezvous fast path,
+// MPI's staged content), or contiguous bytes read in place (a frame staged
+// by gRPC, inline bytes).
 wire::PayloadRef EncodeQueuePayloadView(const std::string& queue,
                                         const Tensor* tensor,
                                         int64_t capacity);

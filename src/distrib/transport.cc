@@ -68,7 +68,6 @@ void TransportStats::Reset() {
   faults_duplicated.store(0);
   faults_delayed.store(0);
   faults_corrupted.store(0);
-  faults_partition_refused.store(0);
   faults_kill_refused.store(0);
   faults_hang_blocked.store(0);
 }
@@ -87,21 +86,6 @@ void InProcessRouter::EnableChaos(const ChaosConfig& config) {
 void InProcessRouter::DisableChaos() {
   std::lock_guard<std::mutex> lk(mu_);
   chaos_enabled_ = false;
-}
-
-void InProcessRouter::Partition(const std::string& addr) {
-  std::lock_guard<std::mutex> lk(mu_);
-  partitioned_.insert(addr);
-}
-
-void InProcessRouter::Heal(const std::string& addr) {
-  std::lock_guard<std::mutex> lk(mu_);
-  partitioned_.erase(addr);
-}
-
-bool InProcessRouter::IsPartitioned(const std::string& addr) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return partitioned_.count(addr) > 0;
 }
 
 void InProcessRouter::Kill(const std::string& addr) {
@@ -248,10 +232,6 @@ Result<wire::RpcEnvelope> InProcessRouter::Call(
     const wire::RpcEnvelope& request) {
   TransportStats& st = stats_[static_cast<size_t>(proto)];
   TFHPC_RETURN_IF_ERROR(AdmitCall(addr, st));
-  if (IsPartitioned(addr)) {
-    st.faults_partition_refused.fetch_add(1, std::memory_order_relaxed);
-    return Unavailable("network partition: " + addr + " unreachable");
-  }
   ServiceHandler handler = LookupHandler(addr);
   if (!handler) return Unavailable("no server at " + addr);
   TFHPC_RETURN_IF_ERROR(ConsumeFault(addr, request.method));

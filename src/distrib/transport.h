@@ -23,7 +23,7 @@
 //
 // The router is also the fault-injection point for the fault-tolerance
 // layer: a seeded ChaosConfig schedule can drop, delay, duplicate or
-// corrupt any call, and Partition(addr) hard-fails an address until healed.
+// corrupt any call, and Kill(addr) hard-fails an address until revived.
 // Clients recover via distrib/retry.h policies plus the servers' request-id
 // dedup (exactly-once for non-idempotent ops).
 #pragma once
@@ -61,15 +61,14 @@ struct TransportStats {
   std::atomic<int64_t> faults_duplicated{0};
   std::atomic<int64_t> faults_delayed{0};
   std::atomic<int64_t> faults_corrupted{0};
-  std::atomic<int64_t> faults_partition_refused{0};
   std::atomic<int64_t> faults_kill_refused{0};  // calls to a Kill()ed address
   std::atomic<int64_t> faults_hang_blocked{0};  // calls that entered hang-wait
 
   int64_t total_faults() const {
     return faults_dropped_request.load() + faults_dropped_response.load() +
            faults_duplicated.load() + faults_delayed.load() +
-           faults_corrupted.load() + faults_partition_refused.load() +
-           faults_kill_refused.load() + faults_hang_blocked.load();
+           faults_corrupted.load() + faults_kill_refused.load() +
+           faults_hang_blocked.load();
   }
   // Zeroes every counter (per-phase measurement without process restarts).
   void Reset();
@@ -136,12 +135,6 @@ class InProcessRouter {
   // Calls examined by the chaos schedule so far (the schedule's counter).
   int64_t chaos_calls() const { return chaos_counter_.load(); }
 
-  // Hard partition: every call to `addr` is refused with kUnavailable until
-  // Heal(addr) — a lost rank, as opposed to the probabilistic drops above.
-  void Partition(const std::string& addr);
-  void Heal(const std::string& addr);
-  bool IsPartitioned(const std::string& addr) const;
-
   // -- fail-stop / fail-slow switches ----------------------------------------
   // Kill: the worker crashed. New calls are refused with kUnavailable and any
   // call blocked in a Hang() wait on the address is released with the same
@@ -189,7 +182,6 @@ class InProcessRouter {
   std::condition_variable liveness_cv_;  // wakes hang-waits on state change
   std::map<std::string, ServiceHandler> handlers_;
   std::vector<Fault> faults_;
-  std::set<std::string> partitioned_;
   std::set<std::string> killed_;
   std::map<std::string, int64_t> hung_;  // addr -> max_block_ms
   bool chaos_enabled_ = false;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <deque>
 
 namespace tfhpc {
 
@@ -158,30 +157,31 @@ std::vector<int> Graph::TopologicalOrder() const {
 }
 
 Result<std::vector<int>> Graph::ReachableTo(
-    const std::vector<std::string>& targets) const {
+    const std::vector<std::string>& roots,
+    const std::set<std::string>& cuts) const {
   std::vector<bool> visited(static_cast<size_t>(num_nodes()), false);
-  std::deque<int> frontier;
-  for (const std::string& t : targets) {
-    // Targets may name an output slot ("node:1").
-    const std::string name = ParseTensorRef(t).name;
-    const Node* n = FindNode(name);
-    if (n == nullptr) return NotFound("target node '" + name + "' not found");
-    if (!visited[static_cast<size_t>(n->id())]) {
-      visited[static_cast<size_t>(n->id())] = true;
-      frontier.push_back(n->id());
-    }
-  }
   std::vector<int> result;
-  while (!frontier.empty()) {
-    const int id = frontier.front();
-    frontier.pop_front();
+  auto visit = [&](int id) {
+    if (visited[static_cast<size_t>(id)]) return;
+    visited[static_cast<size_t>(id)] = true;
     result.push_back(id);
-    for (const InEdge& e : nodes_[static_cast<size_t>(id)]->in_edges()) {
-      if (!visited[static_cast<size_t>(e.node_id)]) {
-        visited[static_cast<size_t>(e.node_id)] = true;
-        frontier.push_back(e.node_id);
-      }
+  };
+  for (const std::string& root : roots) {
+    const TensorRef ref = ParseTensorRef(root);
+    if (ref.slot < 0) {
+      return InvalidArgument("malformed fetch/target '" + root + "'");
     }
+    const Node* n = FindNode(ref.name);
+    if (n == nullptr) {
+      return NotFound("fetch/target node '" + ref.name + "' not found");
+    }
+    visit(n->id());
+  }
+  // `result` doubles as the worklist: every id in it is expanded once.
+  for (size_t i = 0; i < result.size(); ++i) {
+    const Node* n = nodes_[static_cast<size_t>(result[i])].get();
+    if (cuts.count(n->name())) continue;
+    for (const InEdge& e : n->in_edges()) visit(e.node_id);
   }
   std::sort(result.begin(), result.end());
   return result;

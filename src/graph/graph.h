@@ -7,6 +7,7 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -88,17 +89,17 @@ class Graph {
 
   // Re-pins an existing node to a different device spec. This is the one
   // in-place mutation the runtime performs (job-level recovery re-places an
-  // evicted task's nodes); it bumps version() so compiled executables and
-  // per-node placement caches tied to the old placement are invalidated.
+  // evicted task's nodes on the client graph before re-partitioning it); it
+  // bumps version() so executables compiled against the old placement go
+  // stale.
   Status SetNodeDevice(const std::string& name, const std::string& device);
 
-  // Monotonic mutation counter: bumped by every AddNode/SetNodeDevice.
-  // Anything derived from graph structure (pruned closures, placements,
-  // instantiated kernels) is valid only for the version it was built
-  // against. Atomic because concurrent Run callers poll it (staleness
-  // checks) while a session/server thread extends the graph; the counter
-  // read is safe lock-free, but *walking* nodes still requires the owner's
-  // graph lock against concurrent mutation.
+  // Monotonic mutation counter: bumped by every AddNode/SetNodeDevice. An
+  // Executable (its pruned closure and placements) is valid only for the
+  // version it was compiled against. Atomic because concurrent Run callers
+  // poll it (staleness checks) while a session/server thread extends the
+  // graph; the counter read is safe lock-free, but *walking* nodes still
+  // requires the owner's graph lock against concurrent mutation.
   int64_t version() const {
     return version_.load(std::memory_order_acquire);
   }
@@ -114,9 +115,14 @@ class Graph {
   // returns ids 0..n-1.
   std::vector<int> TopologicalOrder() const;
 
-  // Ids of all nodes on which any of `targets` (transitively) depends,
-  // including the targets themselves.
-  Result<std::vector<int>> ReachableTo(const std::vector<std::string>& targets) const;
+  // The fetch closure: ids, ascending (so topological), of the `roots` and
+  // every node they transitively depend on through data or control edges.
+  // Roots are tensor references ("name" or "name:slot"). A node named in
+  // `cuts` joins the closure when reached but the walk stops there: a fed
+  // node's value comes from its feed, so its ancestors are not needed.
+  // kInvalidArgument for a malformed root, kNotFound for an unknown one.
+  Result<std::vector<int>> ReachableTo(const std::vector<std::string>& roots,
+                                       const std::set<std::string>& cuts) const;
 
   // Generates a fresh node name with the given prefix ("MatMul" ->
   // "MatMul_3").

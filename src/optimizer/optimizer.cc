@@ -55,7 +55,7 @@ Result<wire::GraphDef> DeadNodeElimination(const wire::GraphDef& def,
   std::vector<int> keep;
   for (;;) {
     const std::vector<std::string> roots(root_set.begin(), root_set.end());
-    TFHPC_ASSIGN_OR_RETURN(keep, graph->ReachableTo(roots));
+    TFHPC_ASSIGN_OR_RETURN(keep, graph->ReachableTo(roots, /*cuts=*/{}));
     const size_t before = root_set.size();
     for (int id : keep) {
       const wire::NodeDef& nd = graph->node(id)->def();
@@ -68,7 +68,6 @@ Result<wire::GraphDef> DeadNodeElimination(const wire::GraphDef& def,
     }
     if (root_set.size() == before) break;
   }
-  std::sort(keep.begin(), keep.end());  // ids ascend in topological order
 
   wire::GraphDef out;
   out.version = def.version;
@@ -165,6 +164,27 @@ Result<PipelineResult> RunPassPipeline(const wire::GraphDef& def,
         }));
   }
   return result;
+}
+
+Result<CheckedGraph> VerifyAndOptimize(const wire::GraphDef& def,
+                                       const analysis::AnalysisOptions& check,
+                                       const PipelineOptions& options) {
+  CheckedGraph checked;
+  checked.analysis = analysis::VerifyGraph(def, check);
+  checked.findings = checked.analysis.diagnostics;
+  if (options.level == OptimizerLevel::kOff || checked.analysis.has_errors()) {
+    return checked;
+  }
+  TFHPC_ASSIGN_OR_RETURN(PipelineResult rewritten,
+                         RunPassPipeline(def, options));
+  checked.analysis = analysis::VerifyGraph(rewritten.graph, check);
+  if (checked.analysis.has_errors()) {
+    return Internal(std::string("optimizer produced an invalid graph (level ") +
+                    OptimizerLevelName(options.level) + "):\n" +
+                    analysis::FormatErrors(checked.analysis.diagnostics));
+  }
+  checked.rewrite = std::move(rewritten.graph);
+  return checked;
 }
 
 }  // namespace tfhpc::optimizer

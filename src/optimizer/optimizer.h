@@ -20,9 +20,9 @@
 //   - stateful and blocking ops (variables, queues, send/recv) are never
 //     folded, merged or fused;
 //   - the pipeline is idempotent: running it twice yields the same graph;
-//   - callers re-run analysis::VerifyGraph on the result — an optimizer bug
-//     is a compile failure, not a wrong answer (GraphCheck is the
-//     regression oracle).
+//   - the result is re-verified (VerifyAndOptimize) — an optimizer bug is
+//     a compile failure, not a wrong answer (GraphCheck is the regression
+//     oracle).
 //
 // dead_node_elim is the only graph pass that prunes. Cross-task edges are
 // not rewritten here: the partitioner gives each one its own _Send/_Recv
@@ -30,10 +30,12 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
+#include "analysis/verifier.h"
 #include "graph/graph.h"
 
 namespace tfhpc::optimizer {
@@ -85,6 +87,27 @@ struct PipelineResult {
 // unchanged with no reports. The input must parse as a Graph (registered
 // ops, resolvable inputs); callers are expected to VerifyGraph the result.
 Result<PipelineResult> RunPassPipeline(const wire::GraphDef& def,
+                                       const PipelineOptions& options);
+
+// What VerifyAndOptimize hands a compile.
+struct CheckedGraph {
+  // GraphCheck's findings on the input graph: the ones a caller reports.
+  std::vector<analysis::Diagnostic> findings;
+  // The pipeline's rewrite; unset when the input had ERROR findings or the
+  // level is kOff, and the input is what compiles.
+  std::optional<wire::GraphDef> rewrite;
+  // GraphCheck over what compiles: the rewrite, else the input.
+  analysis::GraphAnalysis analysis;
+};
+
+// The compile front end Session and DistributedSession share: GraphCheck
+// over `def` under `check`; then, when that found no ERROR and
+// `options.level` is not kOff, the pass pipeline and GraphCheck again over
+// its rewrite. Optimizing only a clean input lets the second check blame
+// the optimizer alone: a rewrite with an ERROR finding fails with kInternal
+// and never runs.
+Result<CheckedGraph> VerifyAndOptimize(const wire::GraphDef& def,
+                                       const analysis::AnalysisOptions& check,
                                        const PipelineOptions& options);
 
 }  // namespace tfhpc::optimizer

@@ -31,35 +31,13 @@ std::string FormatDebugReport(const RunMetadata& metadata) {
   return os.str();
 }
 
-Executor::Executor(Graph* graph, DeviceMgr* devices, ResourceMgr* resources,
+Executor::Executor(DeviceMgr* devices, ResourceMgr* resources,
                    DeviceName default_device)
-    : graph_(graph),
-      devices_(devices),
+    : devices_(devices),
       resources_(resources),
       default_device_(std::move(default_device)) {}
 
-void Executor::InvalidateCachesIfStaleLocked() {
-  if (cache_version_ == graph_->version()) return;
-  placement_cache_.clear();
-  kernel_cache_.clear();
-  cache_version_ = graph_->version();
-}
-
 Result<Device*> Executor::PlaceNode(const Node& node) {
-  {
-    std::lock_guard<std::mutex> lk(cache_mu_);
-    InvalidateCachesIfStaleLocked();
-    auto it = placement_cache_.find(node.id());
-    if (it != placement_cache_.end()) return it->second;
-  }
-  TFHPC_ASSIGN_OR_RETURN(Device * device, PlaceNodeUncached(node));
-  std::lock_guard<std::mutex> lk(cache_mu_);
-  InvalidateCachesIfStaleLocked();
-  placement_cache_[node.id()] = device;
-  return device;
-}
-
-Result<Device*> Executor::PlaceNodeUncached(const Node& node) {
   TFHPC_ASSIGN_OR_RETURN(DeviceName requested,
                          DeviceName::Parse(node.requested_device()));
   DeviceName resolved = requested.MergedWith(default_device_);
@@ -104,61 +82,12 @@ Result<Device*> Executor::PlaceNodeUncached(const Node& node) {
   return device;
 }
 
-Result<std::shared_ptr<OpKernel>> Executor::KernelFor(const Node& node,
-                                                      Device* device) {
-  {
-    std::lock_guard<std::mutex> lk(cache_mu_);
-    InvalidateCachesIfStaleLocked();
-    auto it = kernel_cache_.find(node.id());
-    if (it != kernel_cache_.end()) return it->second;
-  }
-  TFHPC_ASSIGN_OR_RETURN(std::shared_ptr<OpKernel> shared,
-                         InstantiateKernel(node, device));
-  std::lock_guard<std::mutex> lk(cache_mu_);
-  InvalidateCachesIfStaleLocked();
-  kernel_cache_[node.id()] = shared;
-  return shared;
-}
-
-Result<std::shared_ptr<OpKernel>> Executor::InstantiateKernel(const Node& node,
-                                                              Device* device) {
-  TFHPC_ASSIGN_OR_RETURN(
-      std::unique_ptr<OpKernel> kernel,
-      KernelRegistry::Global().Create(node.op(), device->type()));
-  return std::shared_ptr<OpKernel>(std::move(kernel));
-}
-
 Result<std::shared_ptr<const Executable>> Executor::Compile(
-    const std::vector<std::string>& feed_keys,
-    const std::vector<std::string>& fetches,
-    const std::vector<std::string>& targets,
-    const analysis::MemoryPlan* memory_plan) {
-  return CompileOn(*graph_, graph_->version(), /*use_caches=*/true,
-                   /*owned_graph=*/nullptr, feed_keys, fetches, targets,
-                   memory_plan);
-}
-
-Result<std::shared_ptr<const Executable>> Executor::CompileGraph(
     std::shared_ptr<const Graph> graph, int64_t graph_version,
     const std::vector<std::string>& feed_keys,
     const std::vector<std::string>& fetches,
     const std::vector<std::string>& targets,
     const analysis::MemoryPlan* memory_plan) {
-  if (graph == nullptr) return InvalidArgument("CompileGraph: null graph");
-  const Graph& g = *graph;
-  return CompileOn(g, graph_version, /*use_caches=*/false, std::move(graph),
-                   feed_keys, fetches, targets, memory_plan);
-}
-
-Result<std::shared_ptr<const Executable>> Executor::CompileOn(
-    const Graph& graph, int64_t graph_version, bool use_caches,
-    std::shared_ptr<const Graph> owned_graph,
-    const std::vector<std::string>& feed_keys,
-    const std::vector<std::string>& fetches,
-    const std::vector<std::string>& targets,
-    const analysis::MemoryPlan* memory_plan) {
-  const int64_t version = graph_version;
-
   // ---- Closure computation, with feeds acting as graph cut points. -------
   std::set<std::string> fed_names;
   for (const std::string& key : feed_keys) {
@@ -166,50 +95,30 @@ Result<std::shared_ptr<const Executable>> Executor::CompileOn(
     if (ref.slot < 0) return InvalidArgument("malformed feed key '" + key + "'");
     fed_names.insert(std::move(ref.name));
   }
-
   std::vector<std::string> roots = fetches;
   roots.insert(roots.end(), targets.begin(), targets.end());
   if (roots.empty()) return InvalidArgument("Run with no fetches or targets");
-
-  // BFS backwards, not expanding past fed nodes.
-  std::set<int> closure;
-  std::deque<int> frontier;
-  for (const std::string& r : roots) {
-    const TensorRef ref = ParseTensorRef(r);
-    if (ref.slot < 0) return InvalidArgument("malformed fetch/target '" + r + "'");
-    const Node* n = graph.FindNode(ref.name);
-    if (n == nullptr) {
-      return NotFound("fetch/target node '" + ref.name + "' not found");
-    }
-    if (closure.insert(n->id()).second) frontier.push_back(n->id());
-  }
-  while (!frontier.empty()) {
-    const int id = frontier.front();
-    frontier.pop_front();
-    const Node* n = graph.node(id);
-    if (fed_names.count(n->name())) continue;  // fed: ancestors not needed
-    for (const InEdge& e : n->in_edges()) {
-      if (closure.insert(e.node_id).second) frontier.push_back(e.node_id);
-    }
-  }
+  TFHPC_ASSIGN_OR_RETURN(const std::vector<int> closure,
+                         graph->ReachableTo(roots, fed_names));
 
   // ---- Bake flat tables. Node ids are topological (construction order),
-  // and std::set iterates ids ascending, so dense indexes are topological
+  // and the closure lists them ascending, so dense indexes are topological
   // too.
+  const Graph& g = *graph;
   auto exe = std::make_shared<Executable>();
-  exe->graph_version_ = version;
-  exe->owned_graph_ = std::move(owned_graph);
+  exe->graph_version_ = graph_version;
+  exe->graph_ = std::move(graph);
   exe->nodes_.reserve(closure.size());
   std::map<int, int> dense;  // node id -> index into exe->nodes_
   for (int id : closure) {
     dense.emplace(id, static_cast<int>(exe->nodes_.size()));
     Executable::CompiledNode cn;
-    cn.node = graph.node(id);
+    cn.node = g.node(id);
     cn.fed = fed_names.count(cn.node->name()) > 0;
     cn.blocking = cn.node->op_def().is_blocking;
     cn.num_outputs = std::max(1, cn.node->op_def().num_outputs);
     for (const InEdge& e : cn.node->in_edges()) {
-      cn.input_names.push_back(graph.node(e.node_id)->name());
+      cn.input_names.push_back(g.node(e.node_id)->name());
     }
     exe->nodes_.push_back(std::move(cn));
   }
@@ -246,15 +155,9 @@ Result<std::shared_ptr<const Executable>> Executor::CompileOn(
   // ---- Placement + kernel instantiation for every scheduled node. --------
   for (auto& cn : exe->nodes_) {
     if (cn.fed) continue;
-    // The id-keyed caches are only coherent for the session graph; an
-    // optimizer rewrite reuses ids 0..n-1 for different nodes.
-    if (use_caches) {
-      TFHPC_ASSIGN_OR_RETURN(cn.device, PlaceNode(*cn.node));
-      TFHPC_ASSIGN_OR_RETURN(cn.kernel, KernelFor(*cn.node, cn.device));
-    } else {
-      TFHPC_ASSIGN_OR_RETURN(cn.device, PlaceNodeUncached(*cn.node));
-      TFHPC_ASSIGN_OR_RETURN(cn.kernel, InstantiateKernel(*cn.node, cn.device));
-    }
+    TFHPC_ASSIGN_OR_RETURN(cn.device, PlaceNode(*cn.node));
+    TFHPC_ASSIGN_OR_RETURN(cn.kernel, KernelRegistry::Global().Create(
+                                          cn.node->op(), cn.device->type()));
     // Bind this node's output to its arena placement when the memory plan
     // covers it (the planner only places single-output nodes).
     const analysis::PlannedTensor* pt =
@@ -277,7 +180,7 @@ Result<std::shared_ptr<const Executable>> Executor::CompileOn(
   // ---- Feed/fetch bindings. ----------------------------------------------
   for (const std::string& key : feed_keys) {
     const TensorRef ref = ParseTensorRef(key);
-    const Node* n = graph.FindNode(ref.name);
+    const Node* n = g.FindNode(ref.name);
     if (n == nullptr) continue;  // feeding an unknown node: ignored
     auto it = dense.find(n->id());
     if (it == dense.end()) continue;  // pruned from the closure: ignored
@@ -290,7 +193,7 @@ Result<std::shared_ptr<const Executable>> Executor::CompileOn(
   // runs, so no stateful target in the same Run has applied.
   for (const std::string& f : fetches) {
     const TensorRef ref = ParseTensorRef(f);
-    const Node* n = graph.FindNode(ref.name);
+    const Node* n = g.FindNode(ref.name);
     TFHPC_CHECK(n != nullptr);  // was a closure root
     const int index = dense.at(n->id());
     if (ref.slot >= exe->nodes_[static_cast<size_t>(index)].num_outputs) {
@@ -391,7 +294,9 @@ Result<std::vector<Tensor>> Executor::Execute(
   Status first_error;
   bool stop = false;
   std::vector<std::thread> blocking_threads;
-  const double step_start_us = NowUs();
+  // Only NodeExecRecord reads the clock, so an untraced step never does.
+  const bool trace = options.trace || options.debug;
+  const double step_start_us = trace ? NowUs() : 0;
 
   // Seed fed nodes: their outputs come straight from the feed tensors; the
   // compiled pending counts already exclude fed producers.
@@ -471,7 +376,7 @@ Result<std::vector<Tensor>> Executor::Execute(
         if (!status.ok()) break;
       }
 
-      if (options.trace || options.debug) {
+      if (trace) {
         record.name = n->name();
         record.op = n->op();
         record.device = cn.device->name_string();
@@ -479,8 +384,8 @@ Result<std::vector<Tensor>> Executor::Execute(
         // Precompiled names: trace must not walk the Graph here — another
         // session thread may be extending it concurrently.
         record.input_names = cn.input_names;
+        record.start_us = NowUs() - step_start_us;
       }
-      record.start_us = NowUs() - step_start_us;
 
       if (cn.blocking) {
         // Queue ops wait on external producers/consumers; no device lock.
@@ -491,7 +396,7 @@ Result<std::vector<Tensor>> Executor::Execute(
         std::lock_guard<std::mutex> dev_lk(*device_mu.at(cn.device));
         status = cn.kernel->Compute(&ctx);
       }
-      record.end_us = NowUs() - step_start_us;
+      if (trace) record.end_us = NowUs() - step_start_us;
       node_outputs = std::move(ctx.outputs());
       if (options.debug && status.ok()) {
         for (const Tensor& out : node_outputs) {
@@ -511,7 +416,7 @@ Result<std::vector<Tensor>> Executor::Execute(
     } else {
       outputs[static_cast<size_t>(idx)] = std::move(node_outputs);
       has_output[static_cast<size_t>(idx)] = 1;
-      if ((options.trace || options.debug) && metadata != nullptr) {
+      if (trace && metadata != nullptr) {
         metadata->nodes.push_back(std::move(record));
       }
       if (!stop) {
@@ -600,19 +505,6 @@ Result<std::vector<Tensor>> Executor::Execute(
   outputs.clear();
   for (Tensor& t : results) t.DetachFromAllocator();
   return results;
-}
-
-Result<std::vector<Tensor>> Executor::Run(
-    const std::map<std::string, Tensor>& feeds,
-    const std::vector<std::string>& fetches,
-    const std::vector<std::string>& targets, const RunOptions& options,
-    RunMetadata* metadata) {
-  std::vector<std::string> feed_keys;
-  feed_keys.reserve(feeds.size());
-  for (const auto& [key, tensor] : feeds) feed_keys.push_back(key);
-  TFHPC_ASSIGN_OR_RETURN(std::shared_ptr<const Executable> exe,
-                         Compile(feed_keys, fetches, targets));
-  return Execute(*exe, feeds, options, metadata);
 }
 
 }  // namespace tfhpc

@@ -1,14 +1,14 @@
 // Graph executor with an explicit Compile -> Execute lifecycle.
 //
-// Compile(feeds, fetches, targets) prunes the graph to the fetch/target
-// closure (feeds act as cut points), resolves placement for every closure
-// node (explicit pin, merged defaults, TF-style soft placement),
-// instantiates kernels, and bakes the result into an immutable Executable:
-// flat vector-indexed topology, initial ready-counts and fanout tables.
-// Execute(executable, feed_tensors) is then a tight dataflow loop over
-// those tables — no per-step map lookups or graph walks. Run() is the
-// compile-and-execute convenience used by one-shot callers; Session caches
-// Executables per run signature so step loops compile once.
+// Compile(graph, feeds, fetches, targets) prunes the graph to the
+// fetch/target closure (Graph::ReachableTo, feeds acting as cut points),
+// resolves placement for every closure node (explicit pin, merged defaults,
+// TF-style soft placement), instantiates kernels, and bakes the result into
+// an immutable Executable: flat vector-indexed topology, initial
+// ready-counts and fanout tables. Execute(executable, feed_tensors) is then
+// a tight dataflow loop over those tables — no per-step map lookups or
+// graph walks. Session caches Executables per run signature, so each
+// signature compiles once; the executor itself caches nothing.
 //
 // Execution is dataflow-style: an op becomes ready when all its data and
 // control inputs have completed; ready ops on distinct devices run
@@ -119,7 +119,7 @@ class Executable {
   struct CompiledNode {
     const Node* node = nullptr;  // stable: Graph stores nodes behind unique_ptr
     Device* device = nullptr;    // null for fed nodes (never executed)
-    std::shared_ptr<OpKernel> kernel;  // null for fed nodes
+    std::unique_ptr<OpKernel> kernel;  // null for fed nodes
     // (producer index into nodes_, producer output slot) per data input, in
     // input order.
     std::vector<std::pair<int, int>> data_inputs;
@@ -167,47 +167,37 @@ class Executable {
   // Device whose allocator the arena block is attributed to (the first
   // planned node's device); null when no plan is attached.
   Device* arena_device_ = nullptr;
-  // Set when this plan was compiled against an optimizer-rewritten graph
-  // (Executor::CompileGraph): the rewritten Graph must outlive the plan's
-  // Node pointers, so the plan owns it. Null for plans compiled against the
-  // session graph.
-  std::shared_ptr<const Graph> owned_graph_;
+  // The graph the plan was compiled against. Its Node pointers must outlive
+  // the plan, so the plan co-owns it: an optimizer rewrite lives exactly as
+  // long as its plans; the session graph is held without ownership (its
+  // owner outlives the session).
+  std::shared_ptr<const Graph> graph_;
 };
 
 class Executor {
  public:
   // `default_device` supplies job/task (and optionally type) for nodes with
   // partial or empty device specs.
-  Executor(Graph* graph, DeviceMgr* devices, ResourceMgr* resources,
+  Executor(DeviceMgr* devices, ResourceMgr* resources,
            DeviceName default_device);
 
-  // Compiles one run signature into an Executable. `feed_keys` are the names
-  // ("node" or "node:slot") that Execute will supply tensors for — values
-  // are not needed to compile. The signature must fetch or target at least
-  // one node. `memory_plan` (optional) is the static memory plan computed
-  // over the same signature: planned single-output nodes are bound to arena
-  // placements and the plan's arena/peak byte facts are baked into the
-  // Executable. Every other output comes from the pool, allocated by its
-  // kernel.
+  // Compiles one run signature over `graph` into an Executable. `graph` is
+  // the session graph or an optimizer rewrite of it; the Executable
+  // co-owns it and is stamped with `graph_version`, the session graph's
+  // version when the signature was compiled, so stale() works for both.
+  // `feed_keys` are the names ("node" or "node:slot") that Execute will
+  // supply tensors for — values are not needed to compile. The signature
+  // must fetch or target at least one node. `memory_plan` (optional) is the
+  // static memory plan computed over the same signature: planned
+  // single-output nodes are bound to arena placements and the plan's
+  // arena/peak byte facts are baked into the Executable. Every other output
+  // comes from the pool, allocated by its kernel.
   Result<std::shared_ptr<const Executable>> Compile(
-      const std::vector<std::string>& feed_keys,
-      const std::vector<std::string>& fetches,
-      const std::vector<std::string>& targets = {},
-      const analysis::MemoryPlan* memory_plan = nullptr);
-
-  // Compiles against `graph` instead of the session graph — the path the
-  // optimizer pipeline uses (Session rewrites a GraphDef, parses it into a
-  // fresh Graph, and compiles that). The resulting Executable co-owns
-  // `graph` and is stamped with `graph_version` (the *session* graph's
-  // version at rewrite time) so stale() and the signature cache keep
-  // working. The id-keyed placement/kernel caches are bypassed: ids in a
-  // rewritten graph do not correspond to session-graph ids.
-  Result<std::shared_ptr<const Executable>> CompileGraph(
       std::shared_ptr<const Graph> graph, int64_t graph_version,
       const std::vector<std::string>& feed_keys,
       const std::vector<std::string>& fetches,
-      const std::vector<std::string>& targets = {},
-      const analysis::MemoryPlan* memory_plan = nullptr);
+      const std::vector<std::string>& targets,
+      const analysis::MemoryPlan* memory_plan);
 
   // Runs a compiled step. `feeds` must supply every feed key the executable
   // was compiled with; extra keys that were also in the compiled signature
@@ -218,55 +208,14 @@ class Executor {
                                       const RunOptions& options = {},
                                       RunMetadata* metadata = nullptr);
 
-  // feeds: node or "node:slot" -> tensor, replaces the node's output.
-  // fetches: outputs to return. targets: nodes to run without fetching.
-  // Equivalent to Compile + Execute, for one-shot callers.
-  Result<std::vector<Tensor>> Run(
-      const std::map<std::string, Tensor>& feeds,
-      const std::vector<std::string>& fetches,
-      const std::vector<std::string>& targets = {},
-      const RunOptions& options = {}, RunMetadata* metadata = nullptr);
-
   // Resolved placement for one node (exposed for tests and the Session's
   // device report). Applies soft placement.
   Result<Device*> PlaceNode(const Node& node);
 
  private:
-  Graph* graph_;
   DeviceMgr* devices_;
   ResourceMgr* resources_;
   DeviceName default_device_;
-
-  // Placement and kernel caches, built lazily per node id and valid only
-  // for cache_version_: any graph mutation (version bump) flushes them, so
-  // a re-pinned node is re-placed instead of served a stale device.
-  std::mutex cache_mu_;
-  int64_t cache_version_ = 0;
-  std::map<int, Device*> placement_cache_;
-  std::map<int, std::shared_ptr<OpKernel>> kernel_cache_;
-
-  // Drops both caches if the graph has mutated since they were filled.
-  // Caller holds cache_mu_.
-  void InvalidateCachesIfStaleLocked();
-
-  Result<std::shared_ptr<OpKernel>> KernelFor(const Node& node, Device* device);
-
-  // Cache-free placement/kernel resolution, shared by the cached wrappers
-  // and the override-graph compile path.
-  Result<Device*> PlaceNodeUncached(const Node& node);
-  Result<std::shared_ptr<OpKernel>> InstantiateKernel(const Node& node,
-                                                      Device* device);
-
-  // Shared Compile body: walks `graph` (the session graph or an optimizer
-  // rewrite), stamping the plan with `graph_version`. `use_caches` gates the
-  // id-keyed placement/kernel caches.
-  Result<std::shared_ptr<const Executable>> CompileOn(
-      const Graph& graph, int64_t graph_version, bool use_caches,
-      std::shared_ptr<const Graph> owned_graph,
-      const std::vector<std::string>& feed_keys,
-      const std::vector<std::string>& fetches,
-      const std::vector<std::string>& targets,
-      const analysis::MemoryPlan* memory_plan);
 };
 
 }  // namespace tfhpc

@@ -33,7 +33,7 @@ std::string RunSignature::Key() const {
 Session::Session(Graph* graph, DeviceMgr* devices, ResourceMgr* resources,
                  DeviceName default_device, SessionOptions options)
     : graph_(graph),
-      executor_(graph, devices, resources, std::move(default_device)),
+      executor_(devices, resources, std::move(default_device)),
       options_(options) {
   if (options_.alloc_faults.enabled()) {
     AllocFaultInjector::Global().Install(options_.alloc_faults);
@@ -97,122 +97,82 @@ Result<std::shared_ptr<const Executable>> Session::Prepare(
   return result;
 }
 
-Session::CompileResult Session::CompileSignature(const RunSignature& sig) {
-  const std::vector<std::string>& fetches = sig.fetches;
-  const std::vector<std::string>& targets = sig.targets;
+namespace {
 
-  // GraphCheck: static verification + shape inference for this signature's
-  // closure. Strict mode fails the compile on ERROR findings; warn mode
-  // prints them. Either way, the inferred shapes feed the memory plan.
-  analysis::AnalysisOptions check_opts;
-  check_opts.feeds = sig.feeds;
-  check_opts.fetches = fetches;
-  check_opts.targets = targets;
-
-  // Static memory planning over whichever GraphDef actually compiles (the
-  // session graph, or the optimizer's rewrite): liveness intervals + arena
-  // plan + memory lints. GC018 (static peak over the session's step budget)
-  // is an ERROR — strict mode rejects here, before any kernel or allocation
-  // of the step ever runs. The plan is handed to Compile, which bakes arena
-  // offsets into the Executable.
-  std::unique_ptr<analysis::MemoryPlan> plan;
-  auto build_plan = [&](const wire::GraphDef& gdef,
-                        const analysis::GraphAnalysis& ga) -> Status {
-    if (ga.has_errors()) return Status::OK();
-    auto live = analysis::LivenessAnalysis::Compute(gdef, check_opts,
-                                                    ga.annotations);
-    if (!live.ok()) return Status::OK();  // structural issues: already linted
-    analysis::MemoryPlan planned = analysis::MemoryPlan::Plan(*live);
-    std::vector<analysis::Diagnostic> lints = analysis::LintMemory(
-        gdef, *live, planned, options_.step_memory_limit_bytes);
-    if (options_.graph_check != GraphCheckMode::kOff) {
-      if (analysis::HasErrors(lints) &&
-          options_.graph_check == GraphCheckMode::kStrict) {
-        std::vector<analysis::Diagnostic> errors;
-        for (const auto& d : lints) {
-          if (d.severity == analysis::Severity::kError) errors.push_back(d);
-        }
-        return InvalidArgument("graphcheck rejected the graph:\n" +
-                               analysis::FormatDiagnostics(errors));
-      }
-      for (const auto& d : lints) {
-        if (d.severity >= analysis::Severity::kWarning) {
-          std::fprintf(stderr, "graphcheck: %s\n", d.ToString().c_str());
-        }
-      }
+// Applies the GraphCheck mode to `findings`: strict mode rejects a graph
+// with an ERROR finding; otherwise WARNINGs and ERRORs go to stderr.
+Status ReportFindings(GraphCheckMode mode,
+                      const std::vector<analysis::Diagnostic>& findings) {
+  if (mode == GraphCheckMode::kOff) return Status::OK();
+  if (mode == GraphCheckMode::kStrict && analysis::HasErrors(findings)) {
+    return InvalidArgument("graphcheck rejected the graph:\n" +
+                           analysis::FormatErrors(findings));
+  }
+  for (const auto& d : findings) {
+    if (d.severity >= analysis::Severity::kWarning) {
+      std::fprintf(stderr, "graphcheck: %s\n", d.ToString().c_str());
     }
-    plan = std::make_unique<analysis::MemoryPlan>(std::move(planned));
-    return Status::OK();
-  };
+  }
+  return Status::OK();
+}
 
+}  // namespace
+
+Session::CompileResult Session::CompileSignature(const RunSignature& sig) {
+  // Snapshot version before serializing: a concurrent mutation at worst
+  // stamps the plan older than the graph, which only forces a recompile.
+  const int64_t version = graph_->version();
+  // The session graph is held, not owned: its owner outlives the session.
+  std::shared_ptr<const Graph> graph(std::shared_ptr<const Graph>(), graph_);
   const bool optimize =
       options_.optimizer_level != optimizer::OptimizerLevel::kOff;
-  std::shared_ptr<const Executable> exe;
-  if (optimize || options_.graph_check != GraphCheckMode::kOff) {
-    // Snapshot version before serializing: a concurrent mutation at worst
-    // stamps the plan older than the graph, which only forces a recompile.
-    const int64_t version = graph_->version();
-    const wire::GraphDef def = graph_->ToGraphDef();
-    analysis::GraphAnalysis analysis = analysis::VerifyGraph(def, check_opts);
-    if (options_.graph_check != GraphCheckMode::kOff) {
-      if (analysis.has_errors() &&
-          options_.graph_check == GraphCheckMode::kStrict) {
-        std::vector<analysis::Diagnostic> errors;
-        for (const auto& d : analysis.diagnostics) {
-          if (d.severity == analysis::Severity::kError) errors.push_back(d);
-        }
-        return InvalidArgument("graphcheck rejected the graph:\n" +
-                               analysis::FormatDiagnostics(errors));
-      }
-      for (const auto& d : analysis.diagnostics) {
-        if (d.severity >= analysis::Severity::kWarning) {
-          std::fprintf(stderr, "graphcheck: %s\n", d.ToString().c_str());
-        }
-      }
-    }
+  if (!optimize && options_.graph_check == GraphCheckMode::kOff) {
+    return executor_.Compile(std::move(graph), version, sig.feeds,
+                             sig.fetches, sig.targets, nullptr);
+  }
 
-    // Optimize only graphs the verifier accepted: pass preconditions assume
-    // a well-formed input, and the post-pass re-verification below must be
-    // able to blame the optimizer, not pre-existing breakage.
-    if (optimize && !analysis.has_errors()) {
-      optimizer::PipelineOptions popts;
-      popts.level = options_.optimizer_level;
-      popts.feeds = sig.feeds;
-      popts.fetches = fetches;
-      popts.targets = targets;
-      TFHPC_ASSIGN_OR_RETURN(optimizer::PipelineResult rewritten,
-                             optimizer::RunPassPipeline(def, popts));
-      // The regression oracle: every pipeline output must re-verify. A
-      // failure here is an optimizer bug and fails the compile — it must
-      // never execute as a silently wrong plan.
-      analysis::GraphAnalysis post =
-          analysis::VerifyGraph(rewritten.graph, check_opts);
-      if (post.has_errors()) {
-        std::vector<analysis::Diagnostic> errors;
-        for (const auto& d : post.diagnostics) {
-          if (d.severity == analysis::Severity::kError) errors.push_back(d);
-        }
-        return Internal(
-            std::string("optimizer produced an invalid graph (level ") +
-            optimizer::OptimizerLevelName(options_.optimizer_level) + "):\n" +
-            analysis::FormatDiagnostics(errors));
-      }
-      TFHPC_RETURN_IF_ERROR(build_plan(rewritten.graph, post));
-      TFHPC_ASSIGN_OR_RETURN(std::unique_ptr<Graph> rewritten_graph,
-                             Graph::FromGraphDef(rewritten.graph));
-      TFHPC_ASSIGN_OR_RETURN(
-          exe, executor_.CompileGraph(
-                   std::shared_ptr<const Graph>(std::move(rewritten_graph)),
-                   version, sig.feeds, fetches, targets, plan.get()));
-    } else {
-      TFHPC_RETURN_IF_ERROR(build_plan(def, analysis));
+  // GraphCheck (static verification + shape inference) over this
+  // signature's closure, then the optimizer over a graph that verified
+  // clean. Strict mode fails the compile on ERROR findings; warn mode
+  // prints them. The inferred shapes feed the memory plan.
+  analysis::AnalysisOptions check_opts;
+  check_opts.feeds = sig.feeds;
+  check_opts.fetches = sig.fetches;
+  check_opts.targets = sig.targets;
+  optimizer::PipelineOptions popts;
+  popts.level = options_.optimizer_level;
+  popts.feeds = sig.feeds;
+  popts.fetches = sig.fetches;
+  popts.targets = sig.targets;
+  const wire::GraphDef def = graph_->ToGraphDef();
+  TFHPC_ASSIGN_OR_RETURN(optimizer::CheckedGraph checked,
+                         optimizer::VerifyAndOptimize(def, check_opts, popts));
+  TFHPC_RETURN_IF_ERROR(ReportFindings(options_.graph_check, checked.findings));
+  const wire::GraphDef& compiled = checked.rewrite ? *checked.rewrite : def;
+  if (checked.rewrite) {
+    TFHPC_ASSIGN_OR_RETURN(graph, Graph::FromGraphDef(compiled));
+  }
+
+  // Static memory planning over whichever GraphDef actually compiles:
+  // liveness intervals + arena plan + memory lints. GC018 (static peak over
+  // the session's step budget) is an ERROR — strict mode rejects here,
+  // before any kernel or allocation of the step ever runs. The plan is
+  // handed to Compile, which bakes arena offsets into the Executable.
+  std::optional<analysis::MemoryPlan> plan;
+  if (!checked.analysis.has_errors()) {
+    auto live = analysis::LivenessAnalysis::Compute(compiled, check_opts,
+                                                    checked.analysis.annotations);
+    // A liveness failure is a structural fault GraphCheck already reported.
+    if (live.ok()) {
+      plan = analysis::MemoryPlan::Plan(*live);
+      TFHPC_RETURN_IF_ERROR(ReportFindings(
+          options_.graph_check,
+          analysis::LintMemory(compiled, *live, *plan,
+                               options_.step_memory_limit_bytes)));
     }
   }
-  if (exe == nullptr) {
-    TFHPC_ASSIGN_OR_RETURN(
-        exe, executor_.Compile(sig.feeds, fetches, targets, plan.get()));
-  }
-  return exe;
+  return executor_.Compile(std::move(graph), version, sig.feeds, sig.fetches,
+                           sig.targets, plan ? &*plan : nullptr);
 }
 
 std::shared_ptr<const Executable> Session::Insert(

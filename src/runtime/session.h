@@ -4,9 +4,10 @@
 // Compile-once step execution: Run() keys each request by its RunSignature
 // (feed names + fetches + targets) and serves repeat signatures from an LRU
 // cache of compiled Executables — the per-step cost of a cached step is a
-// flat dataflow loop, with no pruning, placement or kernel lookup. Cached
-// entries are tied to Graph::version(): any graph mutation invalidates
-// them and the next Run recompiles. Thread-safe: concurrent Runs share the
+// flat dataflow loop, with no pruning, placement or kernel lookup. This is
+// the only compile cache: a miss prunes, places and instantiates kernels
+// afresh. Cached entries are tied to Graph::version(): any graph mutation
+// invalidates them and the next Run recompiles. Thread-safe: concurrent Runs share the
 // cache under a lock and execute with stack-local state, and concurrent
 // misses on one signature share a single compile.
 //
@@ -131,7 +132,8 @@ class Session {
  private:
   using CompileResult = Result<std::shared_ptr<const Executable>>;
 
-  // GraphCheck, optimizer, memory planner and Compile for one signature.
+  // GraphCheck and the optimizer (optimizer::VerifyAndOptimize), the memory
+  // planner and Executor::Compile for one signature.
   CompileResult CompileSignature(const RunSignature& sig);
   // Caches a fresh compile under `key` and returns the entry to use: `exe`,
   // or a concurrently cached plan of a newer graph version.

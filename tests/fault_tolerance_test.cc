@@ -196,18 +196,17 @@ TEST(ChaosTransportTest, StatsCountFaultsPerProtocolAndReset) {
   EXPECT_EQ(st.total_faults(), 0);
 }
 
-TEST_F(FaultToleranceTest, PartitionRefusesCallsUntilHealed) {
+TEST_F(FaultToleranceTest, KilledTaskRefusesCallsUntilRevived) {
   RemoteTask ps(&router_, "ft-ps:1", WireProtocol::kRdma);
   ASSERT_TRUE(ps.Ping().ok());
-  router_.Partition("ft-ps:1");
-  EXPECT_TRUE(router_.IsPartitioned("ft-ps:1"));
+  router_.Kill("ft-ps:1");
+  EXPECT_TRUE(router_.IsKilled("ft-ps:1"));
   EXPECT_EQ(ps.Ping().code(), Code::kUnavailable);
   // Other tasks are unaffected.
   EXPECT_TRUE(RemoteTask(&router_, "ft-w0:1", WireProtocol::kRdma).Ping().ok());
-  router_.Heal("ft-ps:1");
+  router_.Revive("ft-ps:1");
   EXPECT_TRUE(ps.Ping().ok());
-  EXPECT_GT(
-      router_.stats(WireProtocol::kRdma).faults_partition_refused.load(), 0);
+  EXPECT_GT(router_.stats(WireProtocol::kRdma).faults_kill_refused.load(), 0);
 }
 
 TEST_F(FaultToleranceTest, CorruptedPayloadIsRejectedNotApplied) {
@@ -390,7 +389,7 @@ TEST_F(FaultToleranceTest, ChaoticMatmulStepMatchesFaultFreeRun) {
 
 // ---- deadlines: a lost rank fails the step, never hangs it -----------------------
 
-TEST_F(FaultToleranceTest, PartitionedTaskFailsRunWithDeadlineNotHang) {
+TEST_F(FaultToleranceTest, KilledTaskFailsRunWithDeadlineNotHang) {
   Graph g;
   Scope s(&g);
   auto t0 = s.WithDevice("/job:worker/task:0/cpu:0");
@@ -403,7 +402,7 @@ TEST_F(FaultToleranceTest, PartitionedTaskFailsRunWithDeadlineNotHang) {
                                  g.ToGraphDef(), WorkerDev());
   ASSERT_TRUE(session.ok()) << session.status().ToString();
 
-  router_.Partition("ft-w0:1");
+  router_.Kill("ft-w0:1");
   StepRecoveryOptions recovery;
   recovery.max_step_attempts = 2;
   recovery.rpc_retry = RetryPolicy::Aggressive(/*deadline_ms=*/300);
@@ -425,9 +424,9 @@ TEST_F(FaultToleranceTest, PartitionedTaskFailsRunWithDeadlineNotHang) {
   // a hang. Generous bound for slow CI.
   EXPECT_LT(elapsed_ms, 10000);
 
-  // Heal and re-run: the session recovered its tasks (abort/reset) and the
-  // same step now succeeds.
-  router_.Heal("ft-w0:1");
+  // Revive and re-run: the session recovered its tasks (abort/reset) and
+  // the same step now succeeds.
+  router_.Revive("ft-w0:1");
   auto r2 = (*session)->Run({}, {y.name()});
   ASSERT_TRUE(r2.ok()) << r2.status().ToString();
   EXPECT_DOUBLE_EQ((*r2)[0].scalar<double>(), 10.0);

@@ -239,15 +239,50 @@ TEST(GraphTest, ParseTensorRefSplitsAtTheFirstColon) {
 }
 
 TEST(GraphTest, ReachableToComputesClosure) {
+  // x -> y -> z -> w, a control edge u -> z, and an orphan.
   Graph g;
   Scope s(&g);
-  auto a = ops::Const(s, Tensor::Scalar(1.0), "a");
-  auto b = ops::Const(s, Tensor::Scalar(2.0), "b");
-  auto c = ops::Add(s, a, b);
+  Node* x = ops::Const(s, Tensor::Scalar(1.0), "x").node;
+  Node* y = s.AddNode("Neg", {"x"}, {}, "y");
+  Node* u = ops::Const(s, Tensor::Scalar(2.0), "u").node;
+  Node* z = s.AddNode("Neg", {"y", "^u"}, {}, "z");
+  Node* w = s.AddNode("Neg", {"z"}, {}, "w");
   ops::Const(s, Tensor::Scalar(9.0), "orphan");
-  auto r = g.ReachableTo({c.node->name()});
+  auto ids = [](std::initializer_list<const Node*> nodes) {
+    std::vector<int> v;
+    for (const Node* n : nodes) v.push_back(n->id());
+    return v;
+  };
+
+  // Ids ascend; data and control inputs are walked; the orphan is not.
+  auto r = g.ReachableTo({"w"}, {});
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->size(), 3u);  // a, b, c — orphan excluded
+  EXPECT_EQ(*r, ids({x, y, u, z, w}));
+  // A root may name an output slot.
+  r = g.ReachableTo({"z:0"}, {});
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(*r, ids({x, y, u, z}));
+
+  // A cut node is in the closure; its ancestors are not.
+  r = g.ReachableTo({"w"}, {"z"});
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(*r, ids({z, w}));
+  // A cut further up trims only what lies behind it.
+  r = g.ReachableTo({"w"}, {"y"});
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(*r, ids({y, u, z, w}));
+  // A cut root keeps only itself, and cuts off the closure change nothing.
+  r = g.ReachableTo({"w"}, {"w"});
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(*r, ids({w}));
+  r = g.ReachableTo({"y"}, {"z", "not-a-node"});
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(*r, ids({x, y}));
+
+  // A malformed root is kInvalidArgument; an unknown one is kNotFound.
+  EXPECT_EQ(g.ReachableTo({"w:x"}, {}).status().code(),
+            Code::kInvalidArgument);
+  EXPECT_EQ(g.ReachableTo({"nope"}, {}).status().code(), Code::kNotFound);
 }
 
 TEST(GraphTest, UniqueNameGeneratesFresh) {

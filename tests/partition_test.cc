@@ -15,6 +15,7 @@
 #include "graph/ops.h"
 #include "io/checkpoint.h"
 #include "runtime/session.h"
+#include "wire/coded.h"
 
 namespace tfhpc::distrib {
 namespace {
@@ -372,6 +373,41 @@ TEST(RunStepRequestTest, StepHandleRoundTrip) {
   auto legacy = RunStepRequest::Parse(RunStepRequest{}.Serialize());
   ASSERT_TRUE(legacy.ok());
   EXPECT_EQ(legacy->step_handle, 0u);
+}
+
+TEST(RunStepRequestTest, FeedsShareTheNamedTensorEntryEncoding) {
+  RunStepRequest req;
+  req.feeds.emplace("x", Tensor::Scalar(1.5));
+  req.feeds.emplace("y:1", Tensor::Scalar(2.5));
+  const std::string bytes = req.Serialize();
+  // The feed entries are byte for byte a VarRestore payload.
+  const std::string entries = EncodeNamedTensors(req.feeds);
+  EXPECT_EQ(bytes.substr(0, entries.size()), entries);
+  auto r = RunStepRequest::Parse(bytes);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_EQ(r->feeds.size(), 2u);
+  EXPECT_DOUBLE_EQ(r->feeds.at("y:1").scalar<double>(), 2.5);
+}
+
+TEST(RunStepRequestTest, FeedEntryWithoutNameIsRejected) {
+  // An entry carrying a tensor but no name binds to no feed key.
+  std::string entry;
+  wire::CodedOutput eo(&entry);
+  eo.WriteMessage(2, wire::SerializeTensor(Tensor::Scalar(1.0)));
+  std::string payload;
+  wire::CodedOutput co(&payload);
+  co.WriteMessage(1, entry);
+  co.WriteUInt64(5, 7);
+  auto r = RunStepRequest::Parse(payload);
+  EXPECT_EQ(r.status().code(), Code::kInvalidArgument);
+  // VarRestore's decoder refuses the same entry.
+  EXPECT_EQ(DecodeNamedTensors(payload).status().code(),
+            Code::kInvalidArgument);
+  // So does an entry whose name is empty.
+  RunStepRequest empty;
+  empty.feeds.emplace("", Tensor::Scalar(1.0));
+  EXPECT_EQ(RunStepRequest::Parse(empty.Serialize()).status().code(),
+            Code::kInvalidArgument);
 }
 
 // ---- Compile-once distributed steps -----------------------------------------

@@ -669,12 +669,12 @@ class ServingDistTest : public ::testing::Test {
 };
 
 TEST_F(ServingDistTest, StepTimeoutBoundsPartitionedTwoWorkerStepUnderChaos) {
-  // Cross-task step (w0 produces, w1 consumes) with w0 partitioned away and
-  // chaos faults on the surviving links. The client's retry policy alone
-  // would burn 60s per RPC; the step deadline clamps every attempt to the
+  // Cross-task step (w0 produces, w1 consumes) with w0 killed and chaos
+  // faults on the surviving links. The client's retry policy alone would
+  // burn 60s per RPC; the step deadline clamps every attempt to the
   // remaining budget, so the whole fault-tolerant Run — two attempts plus
   // cleanup — completes in bounded time with a deadline/unavailable error,
-  // never a hang. Healing the partition makes the same step succeed.
+  // never a hang. Reviving w0 makes the same step succeed.
   Graph g;
   Scope s(&g);
   auto t0 = s.WithDevice("/job:worker/task:0/cpu:0");
@@ -686,7 +686,7 @@ TEST_F(ServingDistTest, StepTimeoutBoundsPartitionedTwoWorkerStepUnderChaos) {
       &router_, *spec_, WireProtocol::kRdma, g.ToGraphDef(), WorkerDev());
   ASSERT_TRUE(session.ok()) << session.status().ToString();
 
-  router_.Partition("sd-w0:1");
+  router_.Kill("sd-w0:1");
   ChaosConfig chaos;
   chaos.seed = 77;
   chaos.drop_request_rate = 0.05;
@@ -713,7 +713,7 @@ TEST_F(ServingDistTest, StepTimeoutBoundsPartitionedTwoWorkerStepUnderChaos) {
   EXPECT_LT(elapsed, 30000) << report.ToString();
 
   router_.DisableChaos();
-  router_.Heal("sd-w0:1");
+  router_.Revive("sd-w0:1");
   auto r2 = (*session)->Run({}, {y.name()});
   ASSERT_TRUE(r2.ok()) << r2.status().ToString();
   EXPECT_DOUBLE_EQ((*r2)[0].scalar<double>(), 10.0);
@@ -738,7 +738,7 @@ TEST_F(ServingDistTest, PeerFailureCancelsSurvivingPartitionMidStep) {
   auto warm = (*session)->Run({}, {y.name()});
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
 
-  router_.Partition("sd-w0:1");
+  router_.Kill("sd-w0:1");
   StepRecoveryOptions recovery;
   recovery.max_step_attempts = 1;
   recovery.step_timeout_ms = 10000;  // generous: peer-cancel must beat it
@@ -749,7 +749,7 @@ TEST_F(ServingDistTest, PeerFailureCancelsSurvivingPartitionMidStep) {
   EXPECT_EQ(r.status().code(), Code::kUnavailable) << r.status().ToString();
   EXPECT_LT(elapsed, 8000) << "surviving partition was not cancelled";
 
-  router_.Heal("sd-w0:1");
+  router_.Revive("sd-w0:1");
   auto r2 = (*session)->Run({}, {y.name()});
   ASSERT_TRUE(r2.ok()) << r2.status().ToString();
   EXPECT_DOUBLE_EQ((*r2)[0].scalar<double>(), 12.0);
