@@ -7,12 +7,17 @@
 //     compile-once executable cache on vs off. Repeat Runs of one signature
 //     hit the cache and skip pruning/placement/kernel lookup; the uncached
 //     baseline recompiles every step — the gap is the dispatch overhead the
-//     cache removes.
+//     cache removes. The two configurations run in alternating passes and
+//     each reports the median pass with its quartiles: a single 200-step
+//     mean of the cached chain spread from 515 to 750 us/step over 16 runs
+//     of one binary on a 4-core VM, too wide to judge a small change.
 //  2. Simulated: sweep the per-step overhead from zero (a native-runtime
 //     ideal) to 4 ms (a congested Python client) on the V100 series and
 //     watch CG's scaling ceiling move.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <vector>
 
 #include "apps/cg.h"
 #include "bench_util.h"
@@ -29,18 +34,9 @@ double NowUs() {
       .count();
 }
 
-// Builds a CHAIN_DEPTH-deep Add chain over tiny tensors — all dispatch, no
-// arithmetic to speak of — and returns per-step microseconds over `steps`
-// repeat Runs of the same signature.
-double MeasurePerStepUs(Session* session, const std::string& fetch,
-                        int steps) {
-  // Warm once so one-time costs (first compile, thread pool spin-up) don't
-  // pollute the per-step average for either configuration.
-  auto warm = session->Run({}, {fetch});
-  if (!warm.ok()) {
-    std::printf("warmup failed: %s\n", warm.status().ToString().c_str());
-    return -1;
-  }
+// Per-step microseconds over `steps` repeat Runs of one signature, or -1
+// when a Run fails.
+double PassUs(Session* session, const std::string& fetch, int steps) {
   const double start = NowUs();
   for (int i = 0; i < steps; ++i) {
     auto r = session->Run({}, {fetch});
@@ -52,6 +48,22 @@ double MeasurePerStepUs(Session* session, const std::string& fetch,
   return (NowUs() - start) / steps;
 }
 
+struct Quartiles {
+  double p25 = 0, median = 0, p75 = 0;
+};
+
+// Linear-interpolated quartiles of the pass means.
+Quartiles QuartilesOf(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  auto at = [&](double q) {
+    const double pos = q * static_cast<double>(v.size() - 1);
+    const size_t lo = static_cast<size_t>(pos);
+    const size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+  };
+  return {at(0.25), at(0.5), at(0.75)};
+}
+
 }  // namespace
 
 int main() {
@@ -60,8 +72,11 @@ int main() {
   bench::JsonResults json("stepoverhead");
 
   // ---- Part 1: measured cached-vs-uncached dispatch cost -------------------
+  // A kChainDepth-deep Add chain over tiny tensors — all dispatch, no
+  // arithmetic to speak of.
   constexpr int kChainDepth = 64;
   constexpr int kSteps = 200;
+  constexpr int kPasses = 15;
   LocalRuntime rt(/*num_gpus=*/0);
   Scope s = rt.root_scope();
   auto node = ops::Const(s, Tensor::FromVector(std::vector<double>{1, 2, 3, 4}));
@@ -69,32 +84,50 @@ int main() {
   for (int i = 0; i < kChainDepth; ++i) node = ops::Add(s, node, one);
 
   auto cached = rt.NewSession();
-  const double cached_us = MeasurePerStepUs(cached.get(), node.name(), kSteps);
   auto uncached = rt.NewSession();
   uncached->set_max_cached_executables(0);  // every Run recompiles
-  const double uncached_us =
-      MeasurePerStepUs(uncached.get(), node.name(), kSteps);
-  if (cached_us < 0 || uncached_us < 0) return 1;
+  // Warm each once so one-time costs (first compile, thread pool spin-up)
+  // don't pollute either configuration's passes.
+  for (Session* session : {cached.get(), uncached.get()}) {
+    if (PassUs(session, node.name(), 1) < 0) return 1;
+  }
+  std::vector<double> cached_passes, uncached_passes;
+  for (int pass = 0; pass < kPasses; ++pass) {
+    const double u = PassUs(uncached.get(), node.name(), kSteps);
+    const double c = PassUs(cached.get(), node.name(), kSteps);
+    if (u < 0 || c < 0) return 1;
+    uncached_passes.push_back(u);
+    cached_passes.push_back(c);
+  }
+  const Quartiles uq = QuartilesOf(uncached_passes);
+  const Quartiles cq = QuartilesOf(cached_passes);
 
-  std::printf("measured dispatch, %d-op chain, %d steps:\n", kChainDepth,
-              kSteps);
-  std::printf("  uncached (recompile every step): %8.1f us/step\n",
-              uncached_us);
-  std::printf("  cached   (compile-once)        : %8.1f us/step  (%.2fx)\n",
-              cached_us, uncached_us / cached_us);
+  std::printf("measured dispatch, %d-op chain, %d alternating passes of %d "
+              "steps (median [p25, p75]):\n",
+              kChainDepth, kPasses, kSteps);
+  std::printf("  uncached (recompile every step): %8.1f us/step [%.1f, %.1f]\n",
+              uq.median, uq.p25, uq.p75);
+  std::printf("  cached   (compile-once)        : %8.1f us/step [%.1f, %.1f]"
+              "  (%.2fx)\n",
+              cq.median, cq.p25, cq.p75, uq.median / cq.median);
   std::printf("  executable cache: %lld hits / %lld misses\n",
               static_cast<long long>(cached->executable_cache_hits()),
               static_cast<long long>(cached->executable_cache_misses()));
   bench::Rule();
   json.Meta("chain_depth", static_cast<double>(kChainDepth))
       .Meta("steps", static_cast<double>(kSteps))
+      .Meta("passes", static_cast<double>(kPasses))
       .Record()
       .Str("config", "uncached")
-      .Num("us_per_step", uncached_us);
+      .Num("us_per_step", uq.median)
+      .Num("us_per_step_p25", uq.p25)
+      .Num("us_per_step_p75", uq.p75);
   json.Record()
       .Str("config", "cached")
-      .Num("us_per_step", cached_us)
-      .Num("speedup", uncached_us / cached_us)
+      .Num("us_per_step", cq.median)
+      .Num("us_per_step_p25", cq.p25)
+      .Num("us_per_step_p75", cq.p75)
+      .Num("speedup", uq.median / cq.median)
       .Num("cache_hits", static_cast<double>(cached->executable_cache_hits()))
       .Num("cache_misses",
            static_cast<double>(cached->executable_cache_misses()));

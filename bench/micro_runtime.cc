@@ -47,24 +47,6 @@ void BM_SessionStepMatMul(benchmark::State& state) {
 }
 BENCHMARK(BM_SessionStepMatMul)->Arg(16)->Arg(128);
 
-void BM_SimulateModeStep(benchmark::State& state) {
-  // Cost-only execution of a huge matmul: must be orders of magnitude
-  // faster than real execution and allocation-free on the data path.
-  LocalRuntime rt(1);
-  Scope s = rt.root_scope();
-  auto a = ops::RandomUniform(s, Shape{16384, 16384}, DType::kF32, 1);
-  auto b = ops::RandomUniform(s, Shape{16384, 16384}, DType::kF32, 2);
-  auto c = ops::MatMul(s, a, b);
-  auto sess = rt.NewSession();
-  RunOptions opts;
-  opts.simulate = true;
-  for (auto _ : state) {
-    auto r = sess->Run({}, {c.name()}, {}, opts);
-    benchmark::DoNotOptimize(r.ok());
-  }
-}
-BENCHMARK(BM_SimulateModeStep);
-
 void BM_GraphConstruction(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   for (auto _ : state) {

@@ -15,8 +15,11 @@ jobs="$(nproc 2>/dev/null || echo 4)"
 fast=0
 [[ "${1:-}" == "--fast" ]] && fast=1
 
+# -Wall -Wextra with -Werror: the build is warning-free and stays so, so a
+# new warning fails here instead of scrolling past in the build log.
 echo "==== tier 1: configure + build + ctest ===="
-cmake -B "$repo/build" -S "$repo" -DCMAKE_EXPORT_COMPILE_COMMANDS=ON >/dev/null
+cmake -B "$repo/build" -S "$repo" -DCMAKE_EXPORT_COMPILE_COMMANDS=ON \
+  -DTFHPC_WERROR=ON >/dev/null
 cmake --build "$repo/build" -j "$jobs"
 (cd "$repo/build" && ctest --output-on-failure -j "$jobs")
 
@@ -98,17 +101,27 @@ echo "==== memplan ablation smoke ===="
 (cd "$repo/build" && ./bench/ablation_memplan --smoke)
 echo "==== memplan ablation: bit-identical, bounds sound, allocs reduced ===="
 
-# Golden-output gate: the DES figure/table benches and the zero-copy
-# ablation's transport counts are deterministic, so each must print exactly
-# its committed bench/golden/<bench>.txt (about 10 s in all). The one
-# wall-clock figure, fig11's merge time, is masked on both sides. A change
-# that moves an output updates the file and says why. fig8_matmul runs real
-# GEMMs for minutes and stays a manual check. To regenerate a file:
-#   (cd build && ./bench/<bench>) | sed -E "$golden_mask" > bench/golden/<bench>.txt
+# Golden-output gate: the DES figure/table benches, the zero-copy
+# ablation's transport counts and the memplan smoke's allocs/step, pool
+# bytes, planned nodes and peaks are deterministic, so each must print
+# exactly its committed bench/golden/<bench>.txt (about 15 s in all). The
+# wall-clock figures, fig11's merge time and memplan's us/step column, are
+# masked. A change that moves an output updates the file and says why.
+# fig8_matmul runs real GEMMs for minutes and stays a manual check. To
+# regenerate a file, with its mask and arguments from the loop below:
+#   (cd build && ./bench/<bench> <args>) | sed -E "$mask" > bench/golden/<bench>.txt
 echo "==== golden outputs: deterministic benches match bench/golden ===="
 golden_mask='s/(merge excluded from timing: )[0-9.]+s/\1<wall>s/'
-for bench in fig7_stream fig10_cg fig11_fft table1_platforms ablation_zerocopy; do
-  if ! (cd "$repo/build" && "./bench/$bench") | sed -E "$golden_mask" |
+memplan_mask='s/\| +[0-9]+\.[0-9]+( +[0-9]+\.[0-9])/| <us>\1/'
+for run in fig7_stream fig10_cg fig11_fft table1_platforms ablation_zerocopy \
+    "ablation_memplan --smoke"; do
+  read -r bench args <<< "$run"
+  case "$bench" in
+    ablation_memplan) mask="$memplan_mask" ;;
+    *) mask="$golden_mask" ;;
+  esac
+  # $args is unquoted on purpose: it splits into the bench's arguments.
+  if ! (cd "$repo/build" && "./bench/$bench" $args) | sed -E "$mask" |
       diff -u "$repo/bench/golden/$bench.txt" -; then
     echo "golden: $bench output differs from bench/golden/$bench.txt" >&2
     exit 1

@@ -42,20 +42,13 @@ Tensor Tensor::FromBuffer(DType dtype, Shape shape,
   return t;
 }
 
-Tensor Tensor::Meta(DType dtype, Shape shape) {
-  Tensor t;
-  t.dtype_ = dtype;
-  t.shape_ = std::move(shape);
-  return t;
-}
-
 void* Tensor::raw_data() {
-  TFHPC_CHECK(buffer_ != nullptr) << "raw_data() on meta/invalid tensor";
+  TFHPC_CHECK(buffer_ != nullptr) << "raw_data() on invalid tensor";
   return buffer_->data();
 }
 
 const void* Tensor::raw_data() const {
-  TFHPC_CHECK(buffer_ != nullptr) << "raw_data() on meta/invalid tensor";
+  TFHPC_CHECK(buffer_ != nullptr) << "raw_data() on invalid tensor";
   return buffer_->data();
 }
 
@@ -73,7 +66,6 @@ void Tensor::DetachFromAllocator() {
 }
 
 Tensor Tensor::Clone() const {
-  if (is_meta()) return Meta(dtype_, shape_);
   // Attribute the copy to the same allocator as the source so deep copies
   // (variable accumulation, snapshots) stay visible to device accounting.
   Tensor t = Uninitialized(dtype_, shape_, buffer_->stats());
@@ -83,7 +75,6 @@ Tensor Tensor::Clone() const {
 
 bool Tensor::BitwiseEquals(const Tensor& other) const {
   if (dtype_ != other.dtype_ || shape_ != other.shape_) return false;
-  if (is_meta() || other.is_meta()) return is_meta() == other.is_meta();
   return std::memcmp(raw_data(), other.raw_data(),
                      static_cast<size_t>(bytes())) == 0;
 }
@@ -99,13 +90,9 @@ Result<Tensor> Tensor::Reshape(const Shape& shape) const {
 }
 
 std::string Tensor::DebugString(int max_entries) const {
+  if (!valid()) return "Tensor<invalid>";
   std::ostringstream os;
   os << "Tensor<" << DTypeName(dtype_) << ", " << shape_.ToString() << ">";
-  if (is_meta()) {
-    os << " meta";
-    return os.str();
-  }
-  if (!valid()) return "Tensor<invalid>";
   os << " [";
   const int64_t n = std::min<int64_t>(num_elements(), max_entries);
   for (int64_t i = 0; i < n; ++i) {

@@ -1,8 +1,7 @@
 // The Tensor value type: dtype + shape + shared buffer. Copies are shallow
 // (buffer is shared, immutable-by-convention like TensorFlow tensors except
-// through Variable ops). A tensor may be a *meta tensor* — shape and dtype
-// with no storage — used by simulation-mode executions where only costs are
-// tracked (see runtime/session.h RunOptions::simulate).
+// through Variable ops). A tensor is either invalid (default-constructed, no
+// dtype) or valid, and a valid tensor always has storage.
 #pragma once
 
 #include <cstring>
@@ -47,10 +46,6 @@ class Tensor {
   static Tensor FromBuffer(DType dtype, Shape shape,
                            std::shared_ptr<Buffer> buffer);
 
-  // Meta tensor: dtype/shape only, no buffer. bytes() still reports the
-  // nominal storage size so cost accounting works.
-  static Tensor Meta(DType dtype, Shape shape);
-
   // 0-d tensor holding one value.
   template <typename T>
   static Tensor Scalar(T value) {
@@ -72,11 +67,10 @@ class Tensor {
   static Tensor FromVector(Shape shape, const std::vector<T>& v);
 
   bool valid() const { return dtype_ != DType::kInvalid; }
-  bool is_meta() const { return valid() && buffer_ == nullptr; }
   DType dtype() const { return dtype_; }
   const Shape& shape() const { return shape_; }
   int64_t num_elements() const { return shape_.num_elements(); }
-  // Nominal storage size in bytes (defined also for meta tensors).
+  // Storage size in bytes: num_elements() * DTypeSize(dtype()).
   int64_t bytes() const {
     return num_elements() * static_cast<int64_t>(DTypeSize(dtype_));
   }
@@ -84,7 +78,7 @@ class Tensor {
   void* raw_data();
   const void* raw_data() const;
 
-  // The backing storage (nullptr for meta/invalid tensors). Shared with
+  // The backing storage (nullptr for an invalid tensor). Shared with
   // every shallow copy of this tensor and with any PayloadRef view of it.
   const std::shared_ptr<Buffer>& buffer() const { return buffer_; }
 
@@ -134,8 +128,7 @@ class Tensor {
   // Deep copy.
   Tensor Clone() const;
 
-  // Same dtype+shape and bitwise-equal contents (meta tensors compare by
-  // dtype/shape only).
+  // Same dtype+shape and bitwise-equal contents.
   bool BitwiseEquals(const Tensor& other) const;
 
   // Returns a tensor with the same buffer but a different shape; element

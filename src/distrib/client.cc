@@ -77,7 +77,7 @@ Result<wire::PayloadRef> RemoteTask::Call(const std::string& method,
   if (!st.ok()) {
     return Status(st.code(), addr_ + "/" + method + ": " + st.message());
   }
-  return std::move(out);
+  return out;
 }
 
 Status RemoteTask::Ping() {

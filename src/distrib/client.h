@@ -76,7 +76,8 @@ class RemoteTask {
                                 const std::vector<std::string>& targets = {},
                                 CancellationToken* token = nullptr);
   // Runs a registered step: only the handle and the feed tensors ride the
-  // wire; fetches/targets were fixed at registration.
+  // wire; fetches/targets were fixed at registration. The task refuses
+  // `simulate` = true with kInvalidArgument before anything runs.
   Result<std::vector<Tensor>> RunRegisteredStep(
       uint64_t handle, const std::map<std::string, Tensor>& feeds,
       bool simulate = false, CancellationToken* token = nullptr);

@@ -551,8 +551,12 @@ Result<wire::PayloadRef> Server::Dispatch(const std::string& method,
       return InvalidArgument(
           "RunStep without a step handle; register the step first");
     }
+    // The runtime has one execution mode; paper-scale timings come from the
+    // DES (apps::Simulate*), not from a step.
+    if (req.simulate) {
+      return InvalidArgument("RunStep: simulated steps are not supported");
+    }
     RunOptions options;
-    options.simulate = req.simulate;
     options.cancellation = token;
     options.step_memory_limit_bytes = def_.step_memory_limit_bytes;
     RegisteredStep step;

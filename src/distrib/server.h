@@ -135,7 +135,7 @@ struct ServerDef {
   // excess load is shed with kUnavailable + retry-after (see
   // runtime/serving.h). serving.max_inflight is overridden by this field.
   int max_inflight_steps = 0;
-  ServingOptions serving;
+  ServingOptions serving{};
   // Per-step memory budget (bytes) applied to every RunStep on this worker;
   // 0 = unbudgeted. A step allocating past it fails with *permanent*
   // kResourceExhausted (retrying the identical step cannot help), siblings
@@ -144,7 +144,7 @@ struct ServerDef {
   // Allocator fault schedule installed process-wide when the server starts
   // (chaos/testing only; see core/buffer.h). Injected failures surface as
   // transient kResourceExhausted step errors, never process aborts.
-  AllocFaultSpec alloc_faults;
+  AllocFaultSpec alloc_faults{};
 };
 
 class Server {
@@ -254,7 +254,7 @@ class Server {
 // fields: 1 feeds, 4 simulate, 5 step_handle.
 struct RunStepRequest {
   std::map<std::string, Tensor> feeds;
-  bool simulate = false;
+  bool simulate = false;  // always written; the server refuses true
   uint64_t step_handle = 0;  // 0 = none: the server refuses the request
 
   std::string Serialize() const;

@@ -168,8 +168,9 @@ Result<std::vector<int>> Graph::ReachableTo(
   };
   for (const std::string& root : roots) {
     const TensorRef ref = ParseTensorRef(root);
-    if (ref.slot < 0) {
-      return InvalidArgument("malformed fetch/target '" + root + "'");
+    if (ref.slot < 0 || ref.control) {
+      return InvalidArgument("malformed fetch/target '" + root +
+                             "' (a control reference is not a tensor)");
     }
     const Node* n = FindNode(ref.name);
     if (n == nullptr) {

@@ -120,7 +120,8 @@ class Graph {
   // Roots are tensor references ("name" or "name:slot"). A node named in
   // `cuts` joins the closure when reached but the walk stops there: a fed
   // node's value comes from its feed, so its ancestors are not needed.
-  // kInvalidArgument for a malformed root, kNotFound for an unknown one.
+  // kInvalidArgument for a malformed or control ("^name") root, kNotFound
+  // for an unknown one.
   Result<std::vector<int>> ReachableTo(const std::vector<std::string>& roots,
                                        const std::set<std::string>& cuts) const;
 

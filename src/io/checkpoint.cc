@@ -104,8 +104,9 @@ Status SaveCheckpoint(const std::string& path,
   co.WriteUInt64(1, kVersion);
   co.WriteUInt64(2, vars.size());
   for (const auto& [name, tensor] : vars) {
-    if (tensor.is_meta()) {
-      return InvalidArgument("checkpoint: meta tensor for variable " + name);
+    // LoadCheckpoint refuses a whole file whose entry has no dtype.
+    if (!tensor.valid()) {
+      return InvalidArgument("checkpoint: no value for variable " + name);
     }
     const std::string tensor_bytes = wire::SerializeTensor(tensor);
     std::string entry;

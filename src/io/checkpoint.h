@@ -27,7 +27,8 @@
 namespace tfhpc::io {
 
 // Atomically (write-to-temp + fsync + rename + dir fsync) saves all entries
-// to `path`. Each entry carries a CRC32 over its name and tensor bytes.
+// to `path`. Each entry carries a CRC32 over its name and tensor bytes. An
+// invalid tensor is kInvalidArgument and nothing is written.
 Status SaveCheckpoint(const std::string& path,
                       const std::map<std::string, Tensor>& vars);
 

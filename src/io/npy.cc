@@ -149,7 +149,6 @@ Result<Tensor> TensorForHeader(const std::string& header, size_t data_bytes) {
 }  // namespace
 
 std::string EncodeNpy(const Tensor& t) {
-  TFHPC_CHECK(!t.is_meta()) << "cannot encode meta tensor as npy";
   const char* descr = DescrFor(t.dtype());
   TFHPC_CHECK(descr != nullptr) << "npy: unsupported dtype "
                                 << DTypeName(t.dtype());
@@ -199,7 +198,7 @@ Result<Tensor> DecodeNpy(const std::string& bytes) {
 }
 
 Status SaveNpy(const std::string& path, const Tensor& t) {
-  if (t.is_meta() || !t.valid()) {
+  if (!t.valid()) {
     return InvalidArgument("SaveNpy: tensor has no data");
   }
   std::ofstream f(path, std::ios::binary | std::ios::trunc);

@@ -11,7 +11,7 @@
 
 namespace tfhpc::io {
 
-// Writes `t` to `path` as .npy v1.0. Meta tensors are rejected.
+// Writes `t` to `path` as .npy v1.0. An invalid tensor is rejected.
 Status SaveNpy(const std::string& path, const Tensor& t);
 
 // Reads an .npy file. Supports v1.0 and v2.0 headers, C-order arrays with

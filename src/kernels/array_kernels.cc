@@ -27,29 +27,27 @@ class TransposeKernel : public OpKernel {
     Tensor out;
     TFHPC_RETURN_IF_ERROR(
         ctx->AllocateOutput(a.dtype(), Shape{c, r}, &out, ZeroInit::kNo));
-    if (!ctx->meta_exec()) {
-      const size_t esize = DTypeSize(a.dtype());
-      const auto* src = static_cast<const uint8_t*>(a.raw_data());
-      auto* dst = static_cast<uint8_t*>(out.raw_data());
-      // Blocked transpose for cache behaviour.
-      constexpr int64_t kBlock = 32;
-      ThreadPool::Global().ParallelFor(
-          (r + kBlock - 1) / kBlock, 1, [&](int64_t bb, int64_t be) {
-            for (int64_t b = bb; b < be; ++b) {
-              const int64_t i0 = b * kBlock;
-              const int64_t i1 = std::min(r, i0 + kBlock);
-              for (int64_t j0 = 0; j0 < c; j0 += kBlock) {
-                const int64_t j1 = std::min(c, j0 + kBlock);
-                for (int64_t i = i0; i < i1; ++i) {
-                  for (int64_t j = j0; j < j1; ++j) {
-                    std::memcpy(dst + (j * r + i) * esize,
-                                src + (i * c + j) * esize, esize);
-                  }
+    const size_t esize = DTypeSize(a.dtype());
+    const auto* src = static_cast<const uint8_t*>(a.raw_data());
+    auto* dst = static_cast<uint8_t*>(out.raw_data());
+    // Blocked transpose for cache behaviour.
+    constexpr int64_t kBlock = 32;
+    ThreadPool::Global().ParallelFor(
+        (r + kBlock - 1) / kBlock, 1, [&](int64_t bb, int64_t be) {
+          for (int64_t b = bb; b < be; ++b) {
+            const int64_t i0 = b * kBlock;
+            const int64_t i1 = std::min(r, i0 + kBlock);
+            for (int64_t j0 = 0; j0 < c; j0 += kBlock) {
+              const int64_t j1 = std::min(c, j0 + kBlock);
+              for (int64_t i = i0; i < i1; ++i) {
+                for (int64_t j = j0; j < j1; ++j) {
+                  std::memcpy(dst + (j * r + i) * esize,
+                              src + (i * c + j) * esize, esize);
                 }
               }
             }
-          });
-    }
+          }
+        });
     ctx->set_output(0, std::move(out));
     return Status::OK();
   }
@@ -85,26 +83,24 @@ class SliceKernel : public OpKernel {
     Tensor out;
     TFHPC_RETURN_IF_ERROR(
         ctx->AllocateOutput(a.dtype(), size, &out, ZeroInit::kNo));
-    if (!ctx->meta_exec()) {
-      const size_t esize = DTypeSize(a.dtype());
-      const auto* src = static_cast<const uint8_t*>(a.raw_data());
-      auto* dst = static_cast<uint8_t*>(out.raw_data());
-      if (a.shape().rank() == 1) {
-        std::memcpy(dst, src + begin.dim(0) * static_cast<int64_t>(esize),
-                    static_cast<size_t>(size.dim(0)) * esize);
-      } else if (a.shape().rank() == 2) {
-        const int64_t in_w = a.shape().dim(1);
-        for (int64_t row = 0; row < size.dim(0); ++row) {
-          std::memcpy(
-              dst + row * size.dim(1) * static_cast<int64_t>(esize),
-              src + ((begin.dim(0) + row) * in_w + begin.dim(1)) *
-                        static_cast<int64_t>(esize),
-              static_cast<size_t>(size.dim(1)) * esize);
-        }
-      } else {
-        return Unimplemented("Slice supports rank 1-2, got rank " +
-                             std::to_string(a.shape().rank()));
+    const size_t esize = DTypeSize(a.dtype());
+    const auto* src = static_cast<const uint8_t*>(a.raw_data());
+    auto* dst = static_cast<uint8_t*>(out.raw_data());
+    if (a.shape().rank() == 1) {
+      std::memcpy(dst, src + begin.dim(0) * static_cast<int64_t>(esize),
+                  static_cast<size_t>(size.dim(0)) * esize);
+    } else if (a.shape().rank() == 2) {
+      const int64_t in_w = a.shape().dim(1);
+      for (int64_t row = 0; row < size.dim(0); ++row) {
+        std::memcpy(
+            dst + row * size.dim(1) * static_cast<int64_t>(esize),
+            src + ((begin.dim(0) + row) * in_w + begin.dim(1)) *
+                      static_cast<int64_t>(esize),
+            static_cast<size_t>(size.dim(1)) * esize);
       }
+    } else {
+      return Unimplemented("Slice supports rank 1-2, got rank " +
+                           std::to_string(a.shape().rank()));
     }
     ctx->set_output(0, std::move(out));
     return Status::OK();
@@ -138,13 +134,11 @@ class ConcatKernel : public OpKernel {
     Tensor out;
     TFHPC_RETURN_IF_ERROR(
         ctx->AllocateOutput(dtype, out_shape, &out, ZeroInit::kNo));
-    if (!ctx->meta_exec()) {
-      auto* dst = static_cast<uint8_t*>(out.raw_data());
-      for (int i = 0; i < ctx->num_inputs(); ++i) {
-        const Tensor& t = ctx->input(i);
-        std::memcpy(dst, t.raw_data(), static_cast<size_t>(t.bytes()));
-        dst += t.bytes();
-      }
+    auto* dst = static_cast<uint8_t*>(out.raw_data());
+    for (int i = 0; i < ctx->num_inputs(); ++i) {
+      const Tensor& t = ctx->input(i);
+      std::memcpy(dst, t.raw_data(), static_cast<size_t>(t.bytes()));
+      dst += t.bytes();
     }
     ctx->set_output(0, std::move(out));
     return Status::OK();
@@ -171,29 +165,27 @@ class CastKernel : public OpKernel {
     Tensor out;
     TFHPC_RETURN_IF_ERROR(
         ctx->AllocateOutput(to, a.shape(), &out, ZeroInit::kNo));
-    if (!ctx->meta_exec()) {
-      const auto pair = std::make_pair(a.dtype(), to);
-      if (pair == std::make_pair(DType::kF32, DType::kF64)) {
-        CastLoop<float, double>(a, out);
-      } else if (pair == std::make_pair(DType::kF64, DType::kF32)) {
-        CastLoop<double, float>(a, out);
-      } else if (pair == std::make_pair(DType::kI32, DType::kI64)) {
-        CastLoop<int32_t, int64_t>(a, out);
-      } else if (pair == std::make_pair(DType::kI64, DType::kI32)) {
-        CastLoop<int64_t, int32_t>(a, out);
-      } else if (pair == std::make_pair(DType::kI64, DType::kF64)) {
-        CastLoop<int64_t, double>(a, out);
-      } else if (pair == std::make_pair(DType::kF64, DType::kI64)) {
-        CastLoop<double, int64_t>(a, out);
-      } else if (pair == std::make_pair(DType::kI32, DType::kF32)) {
-        CastLoop<int32_t, float>(a, out);
-      } else if (a.dtype() == to) {
-        std::memcpy(out.raw_data(), a.raw_data(),
-                    static_cast<size_t>(a.bytes()));
-      } else {
-        return Unimplemented(std::string("Cast ") + DTypeName(a.dtype()) +
-                             " -> " + DTypeName(to));
-      }
+    const auto pair = std::make_pair(a.dtype(), to);
+    if (pair == std::make_pair(DType::kF32, DType::kF64)) {
+      CastLoop<float, double>(a, out);
+    } else if (pair == std::make_pair(DType::kF64, DType::kF32)) {
+      CastLoop<double, float>(a, out);
+    } else if (pair == std::make_pair(DType::kI32, DType::kI64)) {
+      CastLoop<int32_t, int64_t>(a, out);
+    } else if (pair == std::make_pair(DType::kI64, DType::kI32)) {
+      CastLoop<int64_t, int32_t>(a, out);
+    } else if (pair == std::make_pair(DType::kI64, DType::kF64)) {
+      CastLoop<int64_t, double>(a, out);
+    } else if (pair == std::make_pair(DType::kF64, DType::kI64)) {
+      CastLoop<double, int64_t>(a, out);
+    } else if (pair == std::make_pair(DType::kI32, DType::kF32)) {
+      CastLoop<int32_t, float>(a, out);
+    } else if (a.dtype() == to) {
+      std::memcpy(out.raw_data(), a.raw_data(),
+                  static_cast<size_t>(a.bytes()));
+    } else {
+      return Unimplemented(std::string("Cast ") + DTypeName(a.dtype()) +
+                           " -> " + DTypeName(to));
     }
     ctx->set_output(0, std::move(out));
     return Status::OK();
@@ -210,31 +202,29 @@ class NegKernel : public OpKernel {
     Tensor out;
     TFHPC_RETURN_IF_ERROR(
         ctx->AllocateOutput(a.dtype(), a.shape(), &out, ZeroInit::kNo));
-    if (!ctx->meta_exec()) {
-      const int64_t n = a.num_elements();
-      switch (a.dtype()) {
-        case DType::kF32: {
-          const auto s = a.data<float>();
-          auto* d = out.mutable_data<float>();
-          for (int64_t i = 0; i < n; ++i) d[i] = -s[static_cast<size_t>(i)];
-          break;
-        }
-        case DType::kF64: {
-          const auto s = a.data<double>();
-          auto* d = out.mutable_data<double>();
-          for (int64_t i = 0; i < n; ++i) d[i] = -s[static_cast<size_t>(i)];
-          break;
-        }
-        case DType::kC128: {
-          const auto s = a.data<std::complex<double>>();
-          auto* d = out.mutable_data<std::complex<double>>();
-          for (int64_t i = 0; i < n; ++i) d[i] = -s[static_cast<size_t>(i)];
-          break;
-        }
-        default:
-          return Unimplemented("Neg for dtype " +
-                               std::string(DTypeName(a.dtype())));
+    const int64_t n = a.num_elements();
+    switch (a.dtype()) {
+      case DType::kF32: {
+        const auto s = a.data<float>();
+        auto* d = out.mutable_data<float>();
+        for (int64_t i = 0; i < n; ++i) d[i] = -s[static_cast<size_t>(i)];
+        break;
       }
+      case DType::kF64: {
+        const auto s = a.data<double>();
+        auto* d = out.mutable_data<double>();
+        for (int64_t i = 0; i < n; ++i) d[i] = -s[static_cast<size_t>(i)];
+        break;
+      }
+      case DType::kC128: {
+        const auto s = a.data<std::complex<double>>();
+        auto* d = out.mutable_data<std::complex<double>>();
+        for (int64_t i = 0; i < n; ++i) d[i] = -s[static_cast<size_t>(i)];
+        break;
+      }
+      default:
+        return Unimplemented("Neg for dtype " +
+                             std::string(DTypeName(a.dtype())));
     }
     ctx->set_output(0, std::move(out));
     return Status::OK();
@@ -258,15 +248,13 @@ class ReduceAggKernel : public OpKernel {
     Tensor out;
     TFHPC_RETURN_IF_ERROR(
         ctx->AllocateOutput(a.dtype(), Shape{}, &out, ZeroInit::kNo));
-    if (!ctx->meta_exec()) {
-      if (a.dtype() == DType::kF64) {
-        *out.mutable_data<double>() = Reduce<double>(a);
-      } else if (a.dtype() == DType::kF32) {
-        *out.mutable_data<float>() = Reduce<float>(a);
-      } else {
-        return Unimplemented("reduction for dtype " +
-                             std::string(DTypeName(a.dtype())));
-      }
+    if (a.dtype() == DType::kF64) {
+      *out.mutable_data<double>() = Reduce<double>(a);
+    } else if (a.dtype() == DType::kF32) {
+      *out.mutable_data<float>() = Reduce<float>(a);
+    } else {
+      return Unimplemented("reduction for dtype " +
+                           std::string(DTypeName(a.dtype())));
     }
     ctx->set_output(0, std::move(out));
     return Status::OK();
@@ -316,18 +304,16 @@ class FillKernel : public OpKernel {
     Tensor out;
     TFHPC_RETURN_IF_ERROR(
         ctx->AllocateOutput(dtype, std::move(shape), &out, ZeroInit::kNo));
-    if (!ctx->meta_exec()) {
-      const int64_t n = out.num_elements();
-      if (dtype == DType::kF64) {
-        auto* d = out.mutable_data<double>();
-        for (int64_t i = 0; i < n; ++i) d[i] = value;
-      } else if (dtype == DType::kF32) {
-        auto* d = out.mutable_data<float>();
-        for (int64_t i = 0; i < n; ++i) d[i] = static_cast<float>(value);
-      } else {
-        return Unimplemented("Fill for dtype " +
-                             std::string(DTypeName(dtype)));
-      }
+    const int64_t n = out.num_elements();
+    if (dtype == DType::kF64) {
+      auto* d = out.mutable_data<double>();
+      for (int64_t i = 0; i < n; ++i) d[i] = value;
+    } else if (dtype == DType::kF32) {
+      auto* d = out.mutable_data<float>();
+      for (int64_t i = 0; i < n; ++i) d[i] = static_cast<float>(value);
+    } else {
+      return Unimplemented("Fill for dtype " +
+                           std::string(DTypeName(dtype)));
     }
     ctx->set_output(0, std::move(out));
     return Status::OK();

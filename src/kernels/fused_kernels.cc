@@ -194,8 +194,8 @@ class FusedElementwiseKernel : public OpKernel {
         ParseFusedStages(ctx->node().def(), ctx->num_inputs()));
 
     // Static walk first: per-stage result dtype/shape with the unfused
-    // kernels' exact operand checks. Runs on meta inputs too, so simulation
-    // mode and real execution reject the same graphs.
+    // kernels' exact operand checks, so a fused chain rejects exactly the
+    // graphs its unfused stages would.
     const size_t ns = stages.size();
     std::vector<DType> out_dtype(ns);
     std::vector<Shape> out_shape(ns);
@@ -272,15 +272,6 @@ class FusedElementwiseKernel : public OpKernel {
     const bool has_reduction = IsFusedReduction(stages[ns - 1].op);
     // Stages evaluated elementwise (all of them, minus a trailing reduction).
     const size_t ew = has_reduction ? ns - 1 : ns;
-
-    if (ctx->meta_exec()) {
-      Tensor out;
-      TFHPC_RETURN_IF_ERROR(
-          ctx->AllocateOutput(out_dtype[ns - 1], out_shape[ns - 1], &out,
-                              ZeroInit::kNo));
-      ctx->set_output(0, std::move(out));
-      return Status::OK();
-    }
 
     // Cast-free single-dtype reduction chains stream chunk-by-chunk instead
     // of materializing the elementwise prefix.

@@ -1,14 +1,6 @@
 #include "kernels/kernel.h"
 
-#include <algorithm>
-
 namespace tfhpc {
-
-bool OpKernelContext::meta_exec() const {
-  if (simulate_) return true;
-  return std::any_of(inputs_.begin(), inputs_.end(),
-                     [](const Tensor& t) { return t.is_meta(); });
-}
 
 CostEstimate OpKernel::Cost(const OpKernelContext& ctx) const {
   CostEstimate c;

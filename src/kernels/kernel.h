@@ -1,12 +1,9 @@
 // Op kernels: per-(op, device-type) compute implementations, the analogue of
 // TensorFlow's kernel layer. A kernel receives an OpKernelContext holding
-// input tensors and produces output tensors.
-//
-// Meta execution: in simulation mode (runtime/session.h RunOptions::simulate)
-// inputs may be meta tensors (shape/dtype only). Every kernel MUST handle
-// meta inputs by validating shapes and emitting meta outputs — this is what
-// lets benchmarks run the paper's full-size problems without allocating
-// terabytes. Cost() reports nominal work for the DES machine model.
+// input tensors and produces output tensors. Every input has storage, so a
+// kernel has one path: validate shapes, allocate, compute. Cost() reports
+// nominal work for trace records and device capacity checks; the figures'
+// paper-scale timings come from the DES (src/sim), not from kernels.
 #pragma once
 
 #include <functional>
@@ -32,12 +29,10 @@ struct CostEstimate {
 class OpKernelContext {
  public:
   OpKernelContext(const Node* node, std::vector<Tensor> inputs,
-                  ResourceMgr* resources, bool simulate,
-                  AllocatorStats* alloc_stats = nullptr)
+                  ResourceMgr* resources, AllocatorStats* alloc_stats = nullptr)
       : node_(node),
         inputs_(std::move(inputs)),
         resources_(resources),
-        simulate_(simulate),
         alloc_stats_(alloc_stats) {
     outputs_.resize(static_cast<size_t>(node->op_def().num_outputs));
   }
@@ -48,9 +43,6 @@ class OpKernelContext {
     TFHPC_CHECK_LT(i, num_inputs());
     return inputs_[static_cast<size_t>(i)];
   }
-  // True when this execution must not touch real data: either the session
-  // runs in simulation mode or a meta tensor flowed in.
-  bool meta_exec() const;
 
   void set_output(int i, Tensor t) {
     TFHPC_CHECK_LT(i, static_cast<int>(outputs_.size()));
@@ -59,7 +51,6 @@ class OpKernelContext {
   std::vector<Tensor>& outputs() { return outputs_; }
 
   ResourceMgr* resources() const { return resources_; }
-  bool simulate() const { return simulate_; }
 
   // Step cancellation token; null when the step carries none. Blocking
   // kernels (_Recv, queue ops) pass it into their waits so a cancelled or
@@ -82,18 +73,14 @@ class OpKernelContext {
   }
 
   // Allocates an output tensor into `*out`: the planned arena view when one
-  // matches, else a buffer from the executing device's pooled allocator; in
-  // meta execution produces a meta tensor instead. Kernels that overwrite
-  // every element pass ZeroInit::kNo to skip the memset (the pool and the
-  // arena hand back dirty bytes). Fails with kResourceExhausted under
-  // memory pressure (budget breach, injected fault, real OOM) — kernels
-  // propagate the status and the executor unwinds the step.
+  // matches, else a buffer from the executing device's pooled allocator.
+  // Kernels that overwrite every element pass ZeroInit::kNo to skip the
+  // memset (the pool and the arena hand back dirty bytes). Fails with
+  // kResourceExhausted under memory pressure (budget breach, injected fault,
+  // real OOM) — kernels propagate the status and the executor unwinds the
+  // step.
   Status AllocateOutput(DType dtype, Shape shape, Tensor* out,
                         ZeroInit zero = ZeroInit::kYes) const {
-    if (meta_exec()) {
-      *out = Tensor::Meta(dtype, std::move(shape));
-      return Status::OK();
-    }
     if (zero == ZeroInit::kNo && planned_output_.valid() &&
         planned_output_.dtype() == dtype && planned_output_.shape() == shape) {
       *out = std::exchange(planned_output_, Tensor());
@@ -113,7 +100,6 @@ class OpKernelContext {
   // mutable so the const allocation helper can consume it.
   mutable Tensor planned_output_;
   ResourceMgr* resources_;
-  bool simulate_;
   AllocatorStats* alloc_stats_;
   CancellationToken* cancellation_ = nullptr;
   std::shared_ptr<MemoryLimiter> step_limiter_;
@@ -123,8 +109,8 @@ class OpKernel {
  public:
   virtual ~OpKernel() = default;
   virtual Status Compute(OpKernelContext* ctx) = 0;
-  // Nominal work for the cost model; called with inputs bound (possibly
-  // meta). Default: pure data movement (bytes in + out, no flops).
+  // Nominal work for the cost model; called with inputs bound. Default:
+  // pure data movement (bytes in + out, no flops).
   virtual CostEstimate Cost(const OpKernelContext& ctx) const;
 };
 

@@ -57,31 +57,29 @@ class BinaryKernel : public OpKernel {
     Tensor out;
     TFHPC_RETURN_IF_ERROR(
         ctx->AllocateOutput(a.dtype(), out_shape, &out, ZeroInit::kNo));
-    if (!ctx->meta_exec()) {
-      const int64_t n = out.num_elements();
-      switch (a.dtype()) {
-        case DType::kF32:
-          ApplyBin(op_, a.data<float>().data(), b.data<float>().data(),
-                   out.mutable_data<float>(), n, a_scalar, b_scalar);
-          break;
-        case DType::kF64:
-          ApplyBin(op_, a.data<double>().data(), b.data<double>().data(),
-                   out.mutable_data<double>(), n, a_scalar, b_scalar);
-          break;
-        case DType::kC128:
-          ApplyBin(op_, a.data<std::complex<double>>().data(),
-                   b.data<std::complex<double>>().data(),
-                   out.mutable_data<std::complex<double>>(), n, a_scalar,
-                   b_scalar);
-          break;
-        case DType::kI64:
-          ApplyBin(op_, a.data<int64_t>().data(), b.data<int64_t>().data(),
-                   out.mutable_data<int64_t>(), n, a_scalar, b_scalar);
-          break;
-        default:
-          return Unimplemented("binary op for dtype " +
-                               std::string(DTypeName(a.dtype())));
-      }
+    const int64_t n = out.num_elements();
+    switch (a.dtype()) {
+      case DType::kF32:
+        ApplyBin(op_, a.data<float>().data(), b.data<float>().data(),
+                 out.mutable_data<float>(), n, a_scalar, b_scalar);
+        break;
+      case DType::kF64:
+        ApplyBin(op_, a.data<double>().data(), b.data<double>().data(),
+                 out.mutable_data<double>(), n, a_scalar, b_scalar);
+        break;
+      case DType::kC128:
+        ApplyBin(op_, a.data<std::complex<double>>().data(),
+                 b.data<std::complex<double>>().data(),
+                 out.mutable_data<std::complex<double>>(), n, a_scalar,
+                 b_scalar);
+        break;
+      case DType::kI64:
+        ApplyBin(op_, a.data<int64_t>().data(), b.data<int64_t>().data(),
+                 out.mutable_data<int64_t>(), n, a_scalar, b_scalar);
+        break;
+      default:
+        return Unimplemented("binary op for dtype " +
+                             std::string(DTypeName(a.dtype())));
     }
     ctx->set_output(0, std::move(out));
     return Status::OK();
@@ -132,20 +130,18 @@ class SqrtKernel : public OpKernel {
     Tensor out;
     TFHPC_RETURN_IF_ERROR(
         ctx->AllocateOutput(a.dtype(), a.shape(), &out, ZeroInit::kNo));
-    if (!ctx->meta_exec()) {
-      const int64_t n = a.num_elements();
-      if (a.dtype() == DType::kF64) {
-        const auto s = a.data<double>();
-        auto* d = out.mutable_data<double>();
-        for (int64_t i = 0; i < n; ++i) d[i] = std::sqrt(s[static_cast<size_t>(i)]);
-      } else if (a.dtype() == DType::kF32) {
-        const auto s = a.data<float>();
-        auto* d = out.mutable_data<float>();
-        for (int64_t i = 0; i < n; ++i) d[i] = std::sqrt(s[static_cast<size_t>(i)]);
-      } else {
-        return Unimplemented("Sqrt for dtype " +
-                             std::string(DTypeName(a.dtype())));
-      }
+    const int64_t n = a.num_elements();
+    if (a.dtype() == DType::kF64) {
+      const auto s = a.data<double>();
+      auto* d = out.mutable_data<double>();
+      for (int64_t i = 0; i < n; ++i) d[i] = std::sqrt(s[static_cast<size_t>(i)]);
+    } else if (a.dtype() == DType::kF32) {
+      const auto s = a.data<float>();
+      auto* d = out.mutable_data<float>();
+      for (int64_t i = 0; i < n; ++i) d[i] = std::sqrt(s[static_cast<size_t>(i)]);
+    } else {
+      return Unimplemented("Sqrt for dtype " +
+                           std::string(DTypeName(a.dtype())));
     }
     ctx->set_output(0, std::move(out));
     return Status::OK();
@@ -169,18 +165,16 @@ class DotKernel : public OpKernel {
     Tensor out;
     TFHPC_RETURN_IF_ERROR(
         ctx->AllocateOutput(a.dtype(), Shape{}, &out, ZeroInit::kNo));
-    if (!ctx->meta_exec()) {
-      const int64_t n = a.num_elements();
-      if (a.dtype() == DType::kF64) {
-        *out.mutable_data<double>() =
-            blas::ParallelDot(a.data<double>().data(), b.data<double>().data(), n);
-      } else if (a.dtype() == DType::kF32) {
-        *out.mutable_data<float>() = static_cast<float>(
-            blas::ParallelDot(a.data<float>().data(), b.data<float>().data(), n));
-      } else {
-        return Unimplemented("Dot for dtype " +
-                             std::string(DTypeName(a.dtype())));
-      }
+    const int64_t n = a.num_elements();
+    if (a.dtype() == DType::kF64) {
+      *out.mutable_data<double>() =
+          blas::ParallelDot(a.data<double>().data(), b.data<double>().data(), n);
+    } else if (a.dtype() == DType::kF32) {
+      *out.mutable_data<float>() = static_cast<float>(
+          blas::ParallelDot(a.data<float>().data(), b.data<float>().data(), n));
+    } else {
+      return Unimplemented("Dot for dtype " +
+                           std::string(DTypeName(a.dtype())));
     }
     ctx->set_output(0, std::move(out));
     return Status::OK();
@@ -202,21 +196,19 @@ class ReduceSumKernel : public OpKernel {
     Tensor out;
     TFHPC_RETURN_IF_ERROR(
         ctx->AllocateOutput(a.dtype(), Shape{}, &out, ZeroInit::kNo));
-    if (!ctx->meta_exec()) {
-      const int64_t n = a.num_elements();
-      if (a.dtype() == DType::kF64) {
-        *out.mutable_data<double>() =
-            blas::ParallelSum(a.data<double>().data(), n);
-      } else if (a.dtype() == DType::kF32) {
-        *out.mutable_data<float>() =
-            static_cast<float>(blas::ParallelSum(a.data<float>().data(), n));
-      } else if (a.dtype() == DType::kC128) {
-        *out.mutable_data<std::complex<double>>() =
-            blas::ParallelSum(a.data<std::complex<double>>().data(), n);
-      } else {
-        return Unimplemented("ReduceSum for dtype " +
-                             std::string(DTypeName(a.dtype())));
-      }
+    const int64_t n = a.num_elements();
+    if (a.dtype() == DType::kF64) {
+      *out.mutable_data<double>() =
+          blas::ParallelSum(a.data<double>().data(), n);
+    } else if (a.dtype() == DType::kF32) {
+      *out.mutable_data<float>() =
+          static_cast<float>(blas::ParallelSum(a.data<float>().data(), n));
+    } else if (a.dtype() == DType::kC128) {
+      *out.mutable_data<std::complex<double>>() =
+          blas::ParallelSum(a.data<std::complex<double>>().data(), n);
+    } else {
+      return Unimplemented("ReduceSum for dtype " +
+                           std::string(DTypeName(a.dtype())));
     }
     ctx->set_output(0, std::move(out));
     return Status::OK();
@@ -250,30 +242,28 @@ class AxpyKernel : public OpKernel {
     Tensor out;
     TFHPC_RETURN_IF_ERROR(
         ctx->AllocateOutput(x.dtype(), x.shape(), &out, ZeroInit::kNo));
-    if (!ctx->meta_exec()) {
-      const int64_t n = x.num_elements();
-      if (x.dtype() == DType::kF64) {
-        const double av = alpha.scalar<double>();
-        const auto xs = x.data<double>();
-        const auto ys = y.data<double>();
-        auto* d = out.mutable_data<double>();
-        ThreadPool::Global().ParallelFor(n, 8192, [&](int64_t lo, int64_t hi) {
-          for (int64_t i = lo; i < hi; ++i)
-            d[i] = av * xs[static_cast<size_t>(i)] + ys[static_cast<size_t>(i)];
-        });
-      } else if (x.dtype() == DType::kF32) {
-        const float av = alpha.scalar<float>();
-        const auto xs = x.data<float>();
-        const auto ys = y.data<float>();
-        auto* d = out.mutable_data<float>();
-        ThreadPool::Global().ParallelFor(n, 8192, [&](int64_t lo, int64_t hi) {
-          for (int64_t i = lo; i < hi; ++i)
-            d[i] = av * xs[static_cast<size_t>(i)] + ys[static_cast<size_t>(i)];
-        });
-      } else {
-        return Unimplemented("Axpy for dtype " +
-                             std::string(DTypeName(x.dtype())));
-      }
+    const int64_t n = x.num_elements();
+    if (x.dtype() == DType::kF64) {
+      const double av = alpha.scalar<double>();
+      const auto xs = x.data<double>();
+      const auto ys = y.data<double>();
+      auto* d = out.mutable_data<double>();
+      ThreadPool::Global().ParallelFor(n, 8192, [&](int64_t lo, int64_t hi) {
+        for (int64_t i = lo; i < hi; ++i)
+          d[i] = av * xs[static_cast<size_t>(i)] + ys[static_cast<size_t>(i)];
+      });
+    } else if (x.dtype() == DType::kF32) {
+      const float av = alpha.scalar<float>();
+      const auto xs = x.data<float>();
+      const auto ys = y.data<float>();
+      auto* d = out.mutable_data<float>();
+      ThreadPool::Global().ParallelFor(n, 8192, [&](int64_t lo, int64_t hi) {
+        for (int64_t i = lo; i < hi; ++i)
+          d[i] = av * xs[static_cast<size_t>(i)] + ys[static_cast<size_t>(i)];
+      });
+    } else {
+      return Unimplemented("Axpy for dtype " +
+                           std::string(DTypeName(x.dtype())));
     }
     ctx->set_output(0, std::move(out));
     return Status::OK();
@@ -314,17 +304,15 @@ class MatMulKernel : public OpKernel {
     Tensor out;
     TFHPC_RETURN_IF_ERROR(
         ctx->AllocateOutput(a.dtype(), Shape{m, n}, &out, ZeroInit::kNo));
-    if (!ctx->meta_exec()) {
-      if (a.dtype() == DType::kF32) {
-        blas::Gemm(a.data<float>().data(), b.data<float>().data(),
-                   out.mutable_data<float>(), m, n, k);
-      } else if (a.dtype() == DType::kF64) {
-        blas::Gemm(a.data<double>().data(), b.data<double>().data(),
-                   out.mutable_data<double>(), m, n, k);
-      } else {
-        return Unimplemented("MatMul for dtype " +
-                             std::string(DTypeName(a.dtype())));
-      }
+    if (a.dtype() == DType::kF32) {
+      blas::Gemm(a.data<float>().data(), b.data<float>().data(),
+                 out.mutable_data<float>(), m, n, k);
+    } else if (a.dtype() == DType::kF64) {
+      blas::Gemm(a.data<double>().data(), b.data<double>().data(),
+                 out.mutable_data<double>(), m, n, k);
+    } else {
+      return Unimplemented("MatMul for dtype " +
+                           std::string(DTypeName(a.dtype())));
     }
     ctx->set_output(0, std::move(out));
     return Status::OK();
@@ -359,19 +347,17 @@ class MatVecKernel : public OpKernel {
     Tensor out;
     TFHPC_RETURN_IF_ERROR(ctx->AllocateOutput(m.dtype(), Shape{m.shape().dim(0)},
                                               &out, ZeroInit::kNo));
-    if (!ctx->meta_exec()) {
-      if (m.dtype() == DType::kF64) {
-        blas::Gemv(m.data<double>().data(), v.data<double>().data(),
-                   out.mutable_data<double>(), m.shape().dim(0),
-                   m.shape().dim(1));
-      } else if (m.dtype() == DType::kF32) {
-        blas::Gemv(m.data<float>().data(), v.data<float>().data(),
-                   out.mutable_data<float>(), m.shape().dim(0),
-                   m.shape().dim(1));
-      } else {
-        return Unimplemented("MatVec for dtype " +
-                             std::string(DTypeName(m.dtype())));
-      }
+    if (m.dtype() == DType::kF64) {
+      blas::Gemv(m.data<double>().data(), v.data<double>().data(),
+                 out.mutable_data<double>(), m.shape().dim(0),
+                 m.shape().dim(1));
+    } else if (m.dtype() == DType::kF32) {
+      blas::Gemv(m.data<float>().data(), v.data<float>().data(),
+                 out.mutable_data<float>(), m.shape().dim(0),
+                 m.shape().dim(1));
+    } else {
+      return Unimplemented("MatVec for dtype " +
+                           std::string(DTypeName(m.dtype())));
     }
     ctx->set_output(0, std::move(out));
     return Status::OK();
@@ -406,13 +392,11 @@ class FftKernel : public OpKernel {
     Tensor out;
     TFHPC_RETURN_IF_ERROR(
         ctx->AllocateOutput(DType::kC128, x.shape(), &out, ZeroInit::kNo));
-    if (!ctx->meta_exec()) {
-      const auto src = x.data<std::complex<double>>();
-      std::vector<std::complex<double>> buf(src.begin(), src.end());
-      fft::Transform(buf, inverse);
-      std::memcpy(out.raw_data(), buf.data(),
-                  buf.size() * sizeof(std::complex<double>));
-    }
+    const auto src = x.data<std::complex<double>>();
+    std::vector<std::complex<double>> buf(src.begin(), src.end());
+    fft::Transform(buf, inverse);
+    std::memcpy(out.raw_data(), buf.data(),
+                buf.size() * sizeof(std::complex<double>));
     ctx->set_output(0, std::move(out));
     return Status::OK();
   }

@@ -11,11 +11,7 @@ class ConstKernel : public OpKernel {
   Status Compute(OpKernelContext* ctx) override {
     TFHPC_ASSIGN_OR_RETURN(std::string bytes, ctx->node().AttrString("value"));
     TFHPC_ASSIGN_OR_RETURN(Tensor value, wire::ParseTensor(bytes));
-    if (ctx->simulate()) {
-      ctx->set_output(0, Tensor::Meta(value.dtype(), value.shape()));
-    } else {
-      ctx->set_output(0, std::move(value));
-    }
+    ctx->set_output(0, std::move(value));
     return Status::OK();
   }
 };
@@ -42,9 +38,7 @@ class RandomUniformKernel : public OpKernel {
     TFHPC_ASSIGN_OR_RETURN(double hi, ctx->node().AttrFloat("hi"));
     Tensor out;
     TFHPC_RETURN_IF_ERROR(ctx->AllocateOutput(dtype, std::move(shape), &out));
-    if (!ctx->meta_exec()) {
-      FillUniform(out, static_cast<uint64_t>(seed), lo, hi);
-    }
+    FillUniform(out, static_cast<uint64_t>(seed), lo, hi);
     ctx->set_output(0, std::move(out));
     return Status::OK();
   }

@@ -54,7 +54,7 @@ Result<ConstFoldResult> ConstantFolding(const wire::GraphDef& def,
     if (foldable && KernelRegistry::Global().HasKernel(nd.op, "cpu")) {
       auto kernel = KernelRegistry::Global().Create(nd.op, "cpu");
       if (kernel.ok()) {
-        OpKernelContext ctx(n, inputs, &scratch_resources, /*simulate=*/false);
+        OpKernelContext ctx(n, inputs, &scratch_resources);
         const Status st = (*kernel)->Compute(&ctx);
         if (st.ok() && !ctx.outputs().empty() && ctx.outputs()[0].valid() &&
             ctx.outputs()[0].bytes() <= options.max_output_bytes) {

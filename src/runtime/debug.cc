@@ -71,7 +71,7 @@ void AccumulateComplex(const Tensor& t, TensorDebugSummary* s) {
 
 TensorDebugSummary SummarizeTensor(const Tensor& t) {
   TensorDebugSummary s;
-  if (!t.valid() || t.is_meta() || t.num_elements() == 0) return s;
+  if (!t.valid() || t.num_elements() == 0) return s;
   s.dtype = t.dtype();
   s.shape = t.shape();
   switch (t.dtype()) {

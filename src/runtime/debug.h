@@ -12,7 +12,7 @@
 namespace tfhpc {
 
 struct TensorDebugSummary {
-  bool present = false;  // false for zero-output ops / meta tensors
+  bool present = false;  // false for zero-output ops / empty tensors
   DType dtype = DType::kInvalid;
   Shape shape;
   double min = 0;
@@ -27,8 +27,8 @@ struct TensorDebugSummary {
   std::string ToString() const;
 };
 
-// Summarizes real tensors of floating dtypes; integers summarize via cast;
-// meta/invalid tensors yield present=false.
+// Summarizes tensors of floating dtypes; integers summarize via cast;
+// invalid and empty tensors yield present=false.
 TensorDebugSummary SummarizeTensor(const Tensor& t);
 
 struct RunMetadata;  // fwd (runtime/executor.h)

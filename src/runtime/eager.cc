@@ -54,7 +54,7 @@ Result<std::vector<Tensor>> EagerContext::Execute(
                          registry.Create(op, device->type()));
 
   OpKernelContext kctx(node.get(), std::move(inputs), &resources_,
-                       /*simulate=*/false, device->allocator_stats());
+                       device->allocator_stats());
   TFHPC_RETURN_IF_ERROR(kernel->Compute(&kctx));
   return std::move(kctx.outputs());
 }

@@ -92,7 +92,10 @@ Result<std::shared_ptr<const Executable>> Executor::Compile(
   std::set<std::string> fed_names;
   for (const std::string& key : feed_keys) {
     TensorRef ref = ParseTensorRef(key);
-    if (ref.slot < 0) return InvalidArgument("malformed feed key '" + key + "'");
+    if (ref.slot < 0 || ref.control) {
+      return InvalidArgument("malformed feed key '" + key +
+                             "' (a control reference is not a tensor)");
+    }
     fed_names.insert(std::move(ref.name));
   }
   std::vector<std::string> roots = fetches;
@@ -264,7 +267,7 @@ Result<std::vector<Tensor>> Executor::Execute(
   // planned node's output is carved out of as a zero-cost view. Failure
   // here is a clean pre-step rejection with the usual OOM taxonomy.
   std::shared_ptr<Buffer> arena;
-  if (exe.arena_bytes_ > 0 && !options.simulate) {
+  if (exe.arena_bytes_ > 0) {
     auto arena_or = Buffer::TryAllocate(
         static_cast<size_t>(exe.arena_bytes_),
         exe.arena_device_ != nullptr ? exe.arena_device_->allocator_stats()
@@ -312,17 +315,8 @@ Result<std::vector<Tensor>> Executor::Execute(
       return InvalidArgument("compiled signature expects feed '" + fb.key +
                              "' but it was not supplied");
     }
-    const Tensor& tensor = it->second;
     outputs[static_cast<size_t>(fb.node_index)][static_cast<size_t>(fb.slot)] =
-        options.simulate && !tensor.is_meta()
-            ? Tensor::Meta(tensor.dtype(), tensor.shape())
-            : tensor;
-  }
-
-  // Per-device serialization: one compute op in flight per device.
-  std::map<Device*, std::unique_ptr<std::mutex>> device_mu;
-  for (const auto& d : devices_->devices()) {
-    device_mu.emplace(d.get(), std::make_unique<std::mutex>());
+        it->second;
   }
 
   // Executes one node, then marks consumers ready.
@@ -355,7 +349,7 @@ Result<std::vector<Tensor>> Executor::Execute(
         }
       }
 
-      OpKernelContext ctx(n, std::move(inputs), resources_, options.simulate,
+      OpKernelContext ctx(n, std::move(inputs), resources_,
                           cn.device->allocator_stats());
       ctx.set_cancellation(token);
       ctx.set_step_limiter(step_limiter);
@@ -371,10 +365,8 @@ Result<std::vector<Tensor>> Executor::Execute(
                                static_cast<size_t>(pt.bytes))));
       }
       const CostEstimate cost = cn.kernel->Cost(ctx);
-      if (!options.simulate) {
-        status = cn.device->CheckCapacity(cost.bytes_written);
-        if (!status.ok()) break;
-      }
+      status = cn.device->CheckCapacity(cost.bytes_written);
+      if (!status.ok()) break;
 
       if (trace) {
         record.name = n->name();
@@ -387,15 +379,7 @@ Result<std::vector<Tensor>> Executor::Execute(
         record.start_us = NowUs() - step_start_us;
       }
 
-      if (cn.blocking) {
-        // Queue ops wait on external producers/consumers; no device lock.
-        status = cn.kernel->Compute(&ctx);
-      } else {
-        // at(): the map is fully populated before threads start; never
-        // mutate it concurrently.
-        std::lock_guard<std::mutex> dev_lk(*device_mu.at(cn.device));
-        status = cn.kernel->Compute(&ctx);
-      }
+      status = cn.kernel->Compute(&ctx);
       if (trace) record.end_us = NowUs() - step_start_us;
       node_outputs = std::move(ctx.outputs());
       if (options.debug && status.ok()) {

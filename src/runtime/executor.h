@@ -11,9 +11,11 @@
 // signature compiles once; the executor itself caches nothing.
 //
 // Execution is dataflow-style: an op becomes ready when all its data and
-// control inputs have completed; ready ops on distinct devices run
-// concurrently (one in-flight op per device models a single GPU stream;
-// blocking queue ops get dedicated threads so they cannot starve compute).
+// control inputs have completed, and every ready op runs concurrently on the
+// thread pool, whatever its device (kernels are stateless and the memory
+// plan is sound under any interleaving); blocking queue ops get dedicated
+// threads so they cannot starve compute. The DES (src/sim) keeps its own
+// single-stream device model for the figures' timings.
 //
 // An Executable is valid only for the Graph::version() it was compiled
 // against — any graph mutation invalidates it (callers check stale()).
@@ -37,8 +39,6 @@
 namespace tfhpc {
 
 struct RunOptions {
-  // Simulation mode: kernels see meta tensors and only shapes/costs flow.
-  bool simulate = false;
   // Collect per-node execution records into RunMetadata.
   bool trace = false;
   // tfdbg-lite: also summarize every node output (implies trace).
@@ -65,7 +65,7 @@ struct NodeExecRecord {
   std::string device;        // full device name
   double start_us = 0;       // wall-clock, relative to step start
   double end_us = 0;
-  CostEstimate cost;         // nominal work (valid in both modes)
+  CostEstimate cost;         // nominal work (OpKernel::Cost)
   std::vector<std::string> input_names;
   // Filled when RunOptions::debug: one summary per output slot.
   std::vector<TensorDebugSummary> output_summaries;
@@ -128,7 +128,7 @@ class Executable {
     int initial_pending = 0;  // in-edges from non-fed producers
     int num_outputs = 0;      // output slots to allocate (>= 1)
     bool fed = false;
-    bool blocking = false;    // queue ops: dedicated thread, no device lock
+    bool blocking = false;    // queue ops: dedicated thread, not the pool
     // Producer names in input order, baked at compile time so trace mode
     // never touches the Graph during Execute (concurrent steps may race
     // with graph mutation otherwise).

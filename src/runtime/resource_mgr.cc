@@ -189,10 +189,6 @@ Result<Tensor> Variable::Accumulate(const Tensor& delta) {
                            value_.shape().ToString() + " vs " +
                            delta.shape().ToString());
   }
-  if (value_.is_meta() || delta.is_meta()) {
-    // Simulation mode: the value is unchanged metadata.
-    return value_;
-  }
   // value + delta in one bulk pass (pooled from two chunks up) into a fresh
   // buffer charged to the value's allocator. value_ is never written in
   // place: readers hold shallow snapshots of it.

@@ -74,7 +74,7 @@ class Variable {
   Result<Tensor> Read() const;  // returns a shallow snapshot
   void Write(Tensor t);
   // value += delta; initializes to delta when uninitialized. Returns the
-  // new value. Meta tensors combine by shape check only.
+  // new value.
   Result<Tensor> Accumulate(const Tensor& delta);
 
   const std::string& name() const { return name_; }

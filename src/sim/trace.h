@@ -1,8 +1,9 @@
 // Logical trace replay: schedules a DAG of compute / transfer / disk ops
 // onto device timelines and the fair-share flow network, producing virtual
-// start/finish times and the makespan. The application drivers emit these
-// traces while running the real (or meta) execution; benchmarks report the
-// replayed virtual time, never host wall-clock.
+// start/finish times and the makespan. The applications' Simulate* entry
+// points build these traces from the paper's problem sizes without running
+// the executor; benchmarks report the replayed virtual time, never host
+// wall-clock.
 #pragma once
 
 #include <map>

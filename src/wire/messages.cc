@@ -16,9 +16,7 @@ std::string SerializeTensor(const Tensor& t) {
   for (int64_t d : t.shape().dims()) {
     co.WriteUInt64(2, static_cast<uint64_t>(d));
   }
-  if (t.is_meta()) {
-    co.WriteBool(4, true);
-  } else if (t.valid()) {
+  if (t.valid()) {
     co.WriteBytes(3, t.raw_data(), static_cast<size_t>(t.bytes()));
   }
   return out;
@@ -42,7 +40,6 @@ Result<Tensor> ParseTensorFields(std::string_view fields,
   const uint8_t* content = nullptr;
   size_t content_size = 0;
   bool has_content = false;
-  bool is_meta = false;
   while (!in.AtEnd()) {
     uint32_t field;
     WireType wt;
@@ -88,12 +85,6 @@ Result<Tensor> ParseTensorFields(std::string_view fields,
         has_content = true;
         break;
       }
-      case 4: {
-        uint64_t v;
-        TFHPC_RETURN_IF_ERROR(in.ReadVarint(&v));
-        is_meta = v != 0;
-        break;
-      }
       default:
         TFHPC_RETURN_IF_ERROR(in.SkipField(wt));
     }
@@ -111,7 +102,6 @@ Result<Tensor> ParseTensorFields(std::string_view fields,
   if (!MulChecked(&bytes, static_cast<int64_t>(DTypeSize(dtype)))) {
     return InvalidArgument("TensorProto: byte size overflows");
   }
-  if (is_meta) return Tensor::Meta(dtype, Shape(std::move(dims)));
   if (view != nullptr && !has_content) {
     return InvalidArgument("TensorProto: view payload without content field");
   }
@@ -155,10 +145,7 @@ PayloadRef SerializeTensorView(const Tensor& t) {
   for (int64_t d : t.shape().dims()) {
     co.WriteUInt64(2, static_cast<uint64_t>(d));
   }
-  if (t.is_meta() || !t.valid()) {
-    if (t.is_meta()) co.WriteBool(4, true);
-    return PayloadRef(std::move(head));
-  }
+  if (!t.valid()) return PayloadRef(std::move(head));
   // Frame field 3 (tag + length) in the head; the content bytes stay in the
   // tensor's buffer and ride along as a view.
   const size_t content = static_cast<size_t>(t.bytes());

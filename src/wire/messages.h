@@ -20,13 +20,13 @@ namespace tfhpc::wire {
 
 // ---- TensorProto ----------------------------------------------------------
 // field 1: dtype (varint)      field 2: dims (repeated varint)
-// field 3: content (bytes)     field 4: is_meta (bool)
+// field 3: content (bytes)
 //
 // The parsers check the dims before building anything: an element count or
 // byte size that overflows int64, or a byte size that differs from the
-// content length, is kInvalidArgument (a meta tensor has no content, so only
-// overflow rejects it). A peer cannot make the receiver abort or allocate
-// more than it sent.
+// content length, is kInvalidArgument. A peer cannot make the receiver abort
+// or allocate more than it sent. Unknown fields are skipped; a parsed tensor
+// always holds exactly the content its dims call for.
 std::string SerializeTensor(const Tensor& t);
 Result<Tensor> ParseTensor(const std::string& data);
 Result<Tensor> ParseTensor(const void* data, size_t size);

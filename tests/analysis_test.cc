@@ -4,8 +4,6 @@
 // memory plan).
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "analysis/verifier.h"
 #include "apps/app_graphs.h"
 #include "graph/ops.h"
@@ -49,12 +47,6 @@ const Diagnostic* Find(const std::vector<Diagnostic>& diags,
     if (d.code == code) return &d;
   }
   return nullptr;
-}
-
-int CountCode(const std::vector<Diagnostic>& diags, const std::string& code) {
-  return static_cast<int>(
-      std::count_if(diags.begin(), diags.end(),
-                    [&](const Diagnostic& d) { return d.code == code; }));
 }
 
 // ---- structural verifier ----------------------------------------------------

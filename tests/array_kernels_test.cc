@@ -151,19 +151,6 @@ TEST_F(ArrayKernelTest, FillAndZerosLike) {
   for (double v : z->data<double>()) EXPECT_EQ(v, 0.0);
 }
 
-TEST_F(ArrayKernelTest, MetaExecutionPropagatesShapes) {
-  Scope s = rt_.root_scope();
-  auto a = ops::RandomUniform(s, Shape{1000, 2000}, DType::kF32, 1);
-  auto t = ops::Transpose(s, a);
-  auto sl = ops::Slice(s, t, Shape{0, 0}, Shape{500, 500});
-  RunOptions opts;
-  opts.simulate = true;
-  auto r = rt_.NewSession()->Run({}, {sl.name()}, {}, opts);
-  ASSERT_TRUE(r.ok());
-  EXPECT_TRUE((*r)[0].is_meta());
-  EXPECT_EQ((*r)[0].shape(), Shape({500, 500}));
-}
-
 // Slice/Concat/Transpose compose into the tile-assembly identity used by
 // the applications: concat(slice(m, top), slice(m, bottom)) == m.
 TEST_F(ArrayKernelTest, SliceConcatIdentity) {

@@ -177,20 +177,18 @@ TEST(TensorBufferTest, FromBufferAdoptsWithoutCopy) {
 TEST(OutputBufferTest, SharedInputGetsAFreshBuffer) {
   Graph g;
   Scope s(&g);
-  auto a = ops::Const(s, Tensor::Meta(DType::kF64, Shape{16}), "a");
-  auto y = ops::Sqrt(s, a);
-
   Tensor ta(DType::kF64, Shape{16});
   for (int i = 0; i < 16; ++i) {
     ta.mutable_data<double>()[i] = static_cast<double>(i * i);
   }
+  auto a = ops::Const(s, ta, "a");
+  auto y = ops::Sqrt(s, a);
   Tensor keep = ta;  // executor would keep this for another consumer
 
   std::vector<Tensor> inputs = {ta};
   ResourceMgr rm;
   AllocatorStats stats;
-  OpKernelContext ctx(y.node, std::move(inputs), &rm, /*simulate=*/false,
-                      &stats);
+  OpKernelContext ctx(y.node, std::move(inputs), &rm, &stats);
   auto kernel = KernelRegistry::Global().Create("Sqrt", "cpu");
   ASSERT_TRUE(kernel.ok());
   ASSERT_TRUE((*kernel)->Compute(&ctx).ok());

@@ -237,19 +237,13 @@ TEST(TensorTest, CopyIsShallowCloneIsDeep) {
   EXPECT_EQ(deep.data<float>()[0], 1.0f);
 }
 
-TEST(TensorTest, MetaTensorHasNominalBytes) {
-  Tensor t = Tensor::Meta(DType::kF32, Shape{1024, 1024});
-  EXPECT_TRUE(t.is_meta());
-  EXPECT_EQ(t.bytes(), 4 * 1024 * 1024);
-}
-
 TEST(TensorTest, BitwiseEquals) {
   Tensor a = Tensor::FromVector(std::vector<double>{1, 2});
   Tensor b = Tensor::FromVector(std::vector<double>{1, 2});
   Tensor c = Tensor::FromVector(std::vector<double>{1, 3});
   EXPECT_TRUE(a.BitwiseEquals(b));
   EXPECT_FALSE(a.BitwiseEquals(c));
-  EXPECT_FALSE(a.BitwiseEquals(Tensor::Meta(DType::kF64, Shape{2})));
+  EXPECT_FALSE(a.BitwiseEquals(Tensor::FromVector(std::vector<float>{1, 2})));
 }
 
 TEST(TensorTest, ReshapeSharesBuffer) {

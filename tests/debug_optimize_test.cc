@@ -48,7 +48,6 @@ TEST(DebugSummaryTest, ComplexByMagnitude) {
 }
 
 TEST(DebugSummaryTest, MetaAndEmptyAbsent) {
-  EXPECT_FALSE(SummarizeTensor(Tensor::Meta(DType::kF32, Shape{4})).present);
   EXPECT_FALSE(SummarizeTensor(Tensor()).present);
   EXPECT_FALSE(SummarizeTensor(Tensor(DType::kF64, Shape{0})).present);
 }

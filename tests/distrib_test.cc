@@ -558,20 +558,25 @@ TEST_F(ServerTest, ExtendGraphAndRunStep) {
   EXPECT_DOUBLE_EQ((*r)[0].data<double>()[1], 8.0);
 }
 
-TEST_F(ServerTest, RunStepSimulateReturnsMeta) {
+TEST_F(ServerTest, RunStepRefusesSimulate) {
+  // The runtime has one execution mode: a step that asks to be simulated
+  // is refused before anything runs, so the variable stays unwritten.
   Graph g;
   Scope s(&g);
-  auto a = ops::RandomUniform(s, Shape{256, 256}, DType::kF32, 1);
-  auto b = ops::RandomUniform(s, Shape{256, 256}, DType::kF32, 2);
-  auto c = ops::MatMul(s, a, b);
+  auto v = ops::Variable(s, "v", DType::kF64, Shape{2});
+  auto init = ops::Assign(
+      s, v, ops::Const(s, Tensor::FromVector(std::vector<double>{1, 2})));
   auto client = Client("t01n02:8888");
   ASSERT_TRUE(client.ExtendGraph(g.ToGraphDef()).ok());
-  auto handle = client.RegisterStep({}, {c.name()});
+  auto handle = client.RegisterStep({}, {init.name()});
   ASSERT_TRUE(handle.ok()) << handle.status().ToString();
   auto r = client.RunRegisteredStep(*handle, {}, /*simulate=*/true);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_TRUE((*r)[0].is_meta());
-  EXPECT_EQ((*r)[0].shape(), Shape({256, 256}));
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), Code::kInvalidArgument);
+  EXPECT_FALSE(w0_->resources().LookupOrCreateVariable("v")->initialized());
+  auto ok = client.RunRegisteredStep(*handle, {});
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_DOUBLE_EQ((*ok)[0].data<double>()[1], 2.0);
 }
 
 TEST_F(ServerTest, RunStepErrorsPropagateWithAddress) {

@@ -166,7 +166,8 @@ TEST(NpyTest, RejectsNegativeDim) {
 }
 
 TEST(NpyTest, RejectsMetaTensor) {
-  EXPECT_FALSE(SaveNpy("/tmp/x.npy", Tensor::Meta(DType::kF32, Shape{2})).ok());
+  // Only an invalid tensor lacks storage; there is nothing to write.
+  EXPECT_FALSE(SaveNpy("/tmp/x.npy", Tensor()).ok());
 }
 
 TEST(NpyTest, ParsesV2Header) {
@@ -326,9 +327,13 @@ TEST(CheckpointTest, EmptySetRoundTrips) {
 }
 
 TEST(CheckpointTest, RejectsMetaTensors) {
-  std::map<std::string, Tensor> vars{
-      {"m", Tensor::Meta(DType::kF32, Shape{2})}};
-  EXPECT_FALSE(SaveCheckpoint("/tmp/meta_ckpt", vars).ok());
+  // An invalid tensor, the one tensor without storage, has no dtype to
+  // write; saving it would leave a file LoadCheckpoint refuses whole.
+  TempDir dir;
+  std::map<std::string, Tensor> vars{{"ok", Tensor::Scalar(1.0)},
+                                     {"m", Tensor()}};
+  EXPECT_EQ(SaveCheckpoint(dir.path() + "/ckpt", vars).code(),
+            Code::kInvalidArgument);
 }
 
 // ---- WorkList / Prefetcher --------------------------------------------------------

@@ -56,7 +56,9 @@ TEST(OptimizerPipelineTest, ConstFoldCollapsesConstSubgraph) {
   const wire::NodeDef* folded = FindDef(r->graph, sum.node->name());
   // The const-only Add either folded in place or was swept by DNE after its
   // consumer was rewired; whichever way, no Add-of-consts remains.
-  if (folded != nullptr) EXPECT_EQ(folded->op, "Const");
+  if (folded != nullptr) {
+    EXPECT_EQ(folded->op, "Const");
+  }
   ASSERT_FALSE(r->passes.empty());
   EXPECT_EQ(r->passes[0].name, "const_fold");
   EXPECT_GT(r->passes[0].changed, 0);

@@ -166,6 +166,22 @@ TEST_F(ExecutorTest, UnknownFetchIsError) {
             Code::kNotFound);
 }
 
+TEST_F(ExecutorTest, ControlReferencesAreNotTensors) {
+  // "^a" is a control reference, not a tensor: as a fetch, a target or a
+  // feed key it is kInvalidArgument, never a's output 0.
+  Scope s = rt_.root_scope();
+  auto a = ops::Const(s, Tensor::Scalar(7.0), "a");
+  auto b = ops::Identity(s, a);
+  auto sess = rt_.NewSession();
+  const Status fetch = sess->Run({}, {"^a"}).status();
+  const Status target = sess->Run({}, {}, {"^a"}).status();
+  const Status feed =
+      sess->Run({{"^a", Tensor::Scalar(1.0)}}, {b.name()}).status();
+  for (const Status& st : {fetch, target, feed}) {
+    EXPECT_EQ(st.code(), Code::kInvalidArgument) << st.ToString();
+  }
+}
+
 TEST_F(ExecutorTest, OutOfRangeFetchSlotFailsBeforeTheStepRuns) {
   // "a:3" names an output a one-output Const does not have. The Run must
   // fail at compile time, before the stateful target beside it applies.

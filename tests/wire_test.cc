@@ -192,17 +192,6 @@ TEST(TensorProtoTest, RoundTripComplex) {
   EXPECT_TRUE(r->BitwiseEquals(t));
 }
 
-TEST(TensorProtoTest, RoundTripMeta) {
-  Tensor t = Tensor::Meta(DType::kF64, Shape{1 << 20, 1 << 10});
-  const std::string s = SerializeTensor(t);
-  EXPECT_LT(s.size(), 64u);  // meta tensors serialize without payload
-  auto r = ParseTensor(s);
-  ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(r->is_meta());
-  EXPECT_EQ(r->shape(), t.shape());
-  EXPECT_EQ(r->dtype(), DType::kF64);
-}
-
 TEST(TensorProtoTest, RejectsGarbage) {
   EXPECT_FALSE(ParseTensor(std::string("not a proto")).ok());
 }
@@ -229,18 +218,14 @@ TEST(TensorProtoTest, RejectsImplausibleDims) {
 
 // An f32 proto with two dims and 4 content bytes, whole or split into a
 // head and a content view the way SerializeTensorView frames it.
-std::string ProtoHeadWithDims(uint64_t d0, uint64_t d1, bool meta) {
+std::string ProtoHeadWithDims(uint64_t d0, uint64_t d1) {
   std::string buf;
   CodedOutput co(&buf);
   co.WriteUInt64(1, static_cast<uint64_t>(DType::kF32));
   co.WriteUInt64(2, d0);
   co.WriteUInt64(2, d1);
-  if (meta) {
-    co.WriteBool(4, true);
-  } else {
-    co.WriteTag(3, WireType::kLengthDelimited);
-    co.WriteVarint(4);
-  }
+  co.WriteTag(3, WireType::kLengthDelimited);
+  co.WriteVarint(4);
   return buf;
 }
 
@@ -252,7 +237,7 @@ TEST(TensorProtoTest, RejectsDimsBeforeBuildingTheTensor) {
                                  {uint64_t{1} << 24, uint64_t{1} << 24}};
   auto content = Buffer::Allocate(4);
   for (const auto& dims : kShapes) {
-    const std::string head = ProtoHeadWithDims(dims[0], dims[1], false);
+    const std::string head = ProtoHeadWithDims(dims[0], dims[1]);
     const std::string whole = head + std::string(4, '\0');
     if (dims[0] == uint64_t{1} << 40) {
       EXPECT_EQ(whole.size(), 22u);
@@ -267,17 +252,26 @@ TEST(TensorProtoTest, RejectsDimsBeforeBuildingTheTensor) {
   }
 }
 
-// A meta tensor has no content to compare against: only overflow rejects
-// it, so the simulator's huge meta shapes keep parsing.
-TEST(TensorProtoTest, MetaDimsAreRejectedOnlyOnOverflow) {
-  auto big = ParseTensor(ProtoHeadWithDims(1 << 24, 1 << 24, true));
-  ASSERT_TRUE(big.ok()) << big.status().ToString();
-  EXPECT_TRUE(big->is_meta());
-  EXPECT_EQ(big->num_elements(), int64_t{1} << 48);
-  auto overflow = ParseTensor(
-      ProtoHeadWithDims(uint64_t{1} << 40, uint64_t{1} << 40, true));
-  ASSERT_FALSE(overflow.ok());
-  EXPECT_EQ(overflow.status().code(), Code::kInvalidArgument);
+// Field 4 is not part of TensorProto: the parser skips it like any unknown
+// field, so a head that sets it and sends no content fails the content
+// length check and never yields a tensor its content cannot fill.
+TEST(TensorProtoTest, RejectsField4WithoutContent) {
+  for (const auto& [d0, d1] :
+       {std::pair<uint64_t, uint64_t>{1 << 24, 1 << 24},
+        std::pair<uint64_t, uint64_t>{uint64_t{1} << 40, uint64_t{1} << 40},
+        std::pair<uint64_t, uint64_t>{2, 3}}) {
+    std::string head;
+    CodedOutput co(&head);
+    co.WriteUInt64(1, static_cast<uint64_t>(DType::kF32));
+    co.WriteUInt64(2, d0);
+    co.WriteUInt64(2, d1);
+    co.WriteBool(4, true);
+    for (const Result<Tensor>& r :
+         {ParseTensor(head), ParseTensorView(PayloadRef(head))}) {
+      ASSERT_FALSE(r.ok()) << d0;
+      EXPECT_EQ(r.status().code(), Code::kInvalidArgument);
+    }
+  }
 }
 
 TEST(TensorProtoTest, RejectsContentSizeMismatch) {
