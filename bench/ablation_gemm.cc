@@ -27,8 +27,8 @@
 namespace {
 
 using tfhpc::ThreadPool;
-using tfhpc::blas::GemmTier;
-using tfhpc::blas::GemmTierName;
+using tfhpc::SimdTier;
+using tfhpc::SimdTierName;
 
 // The pre-PR kernel, verbatim: cache-blocked i-k-j with the j-loop left to
 // the auto-vectorizer, parallelized over kMc row panels.
@@ -91,7 +91,7 @@ double BestGflops(F run, int64_t n, int reps) {
 }
 
 // max|tier - naive triple loop| at size n for each host tier, in
-// SupportedGemmTiers() order; both dtypes share this shape.
+// SupportedSimdTiers() order; both dtypes share this shape.
 template <typename T>
 std::vector<double> MaxDiffVsNaive(int64_t n) {
   std::vector<T> a(static_cast<size_t>(n * n)), b(static_cast<size_t>(n * n)),
@@ -112,7 +112,7 @@ std::vector<double> MaxDiffVsNaive(int64_t n) {
     }
   }
   std::vector<double> diffs;
-  for (const GemmTier tier : tfhpc::blas::SupportedGemmTiers()) {
+  for (const SimdTier tier : tfhpc::SupportedSimdTiers()) {
     tfhpc::blas::GemmOnTier(tier, a.data(), b.data(), c.data(), n, n, n);
     double md = 0;
     for (size_t e = 0; e < c.size(); ++e) {
@@ -145,15 +145,15 @@ void RunDtype(const char* dtype, const std::vector<int64_t>& sizes,
           .Num("threads", nt)
           .Num("gflops_loop", g_loop);
       double g_tier = 0;
-      for (const GemmTier tier : tfhpc::blas::SupportedGemmTiers()) {
+      for (const SimdTier tier : tfhpc::SupportedSimdTiers()) {
         g_tier = BestGflops(
             [&] {
               tfhpc::blas::GemmOnTier(tier, a.data(), b.data(), c.data(), n,
                                       n, n, /*beta_zero=*/true, &pool);
             },
             n, reps);
-        std::printf("  %s %7.2f GF", GemmTierName(tier), g_tier);
-        json.Num(std::string("gflops_") + GemmTierName(tier), g_tier);
+        std::printf("  %s %7.2f GF", SimdTierName(tier), g_tier);
+        json.Num(std::string("gflops_") + SimdTierName(tier), g_tier);
       }
       // The last tier run is the detected one, which blas::Gemm uses.
       const double speedup = g_tier / g_loop;
@@ -186,7 +186,7 @@ int main(int argc, char** argv) {
   json.Meta("tol_f32_per_k", 1e-5);
   json.Meta("tol_f64_per_k", 1e-12);
 
-  const char* detected = GemmTierName(tfhpc::blas::DetectedGemmTier());
+  const char* detected = SimdTierName(tfhpc::DetectedSimdTier());
   json.Meta("detected_tier", detected);
   std::printf("detected tier: %s (blas::Gemm runs it)\n", detected);
 
@@ -198,9 +198,9 @@ int main(int argc, char** argv) {
   const double tol64 = 1e-12 * static_cast<double>(nv);
   json.Meta("naive_check_n", static_cast<double>(nv));
   bool diverged = false;
-  const std::vector<GemmTier> tiers = tfhpc::blas::SupportedGemmTiers();
+  const std::vector<SimdTier> tiers = tfhpc::SupportedSimdTiers();
   for (size_t t = 0; t < tiers.size(); ++t) {
-    const std::string name = GemmTierName(tiers[t]);
+    const std::string name = SimdTierName(tiers[t]);
     std::printf("numerics vs naive (n=%lld, %s): f32 max|diff| %.3g (tol "
                 "%.3g), f64 %.3g (tol %.3g)\n",
                 static_cast<long long>(nv), name.c_str(), diff32[t], tol32,

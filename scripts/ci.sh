@@ -132,7 +132,7 @@ echo "==== golden outputs: all match ===="
 # ctest -R filters of the sanitizer legs below. Every '|' term must match at
 # least one test of the tier-1 build (which registers the same tests as the
 # sanitizer builds), so a renamed suite cannot drop out of a leg silently.
-tsan_filter='ExecutableCache|DistSession|DistStep|FaultTolerance|StepRecovery|JobRecovery|Liveness|Rendezvous|BufferPool|Serving|CancellationToken|Oom|Optimizer|Fused|SharedConsumerSend|ThreadPool|WireChecksum|VariableAccumulate'
+tsan_filter='ExecutableCache|Executor|DistSession|DistStep|FaultTolerance|StepRecovery|JobRecovery|Liveness|Rendezvous|BufferPool|Serving|CancellationToken|Oom|Optimizer|Fused|SharedConsumerSend|ThreadPool|WireChecksum|VariableAccumulate'
 asan_filter='BufferPool|OutputBuffer|TensorBuffer|MemplanRuntime|Transport|ServerTest|Checkpoint|TensorProto|WireChecksum|PayloadRef|RpcEnvelope|WireFuzz|ServerFuzz|Npy|Oom|Fused|SharedConsumerSend|Gemm'
 ubsan_filter='Gemm|Gemv|Fft|Reduction|ArrayKernel|KernelSession|Tensor|Shape|DType|Status|GraphCheck|ShapeInference|PlannedOutput|Wire|Optimizer|Fused'
 echo "==== sanitizer filters: every term matches a test ===="
@@ -153,13 +153,14 @@ if [[ "$fast" == 1 ]]; then
 fi
 
 # TSan over the suites that exercise cross-thread step execution: the
-# executable cache under concurrent Runs, the distributed step path, the
+# executable cache under concurrent Runs, the executor's scheduling loop and
+# its one-node step on the calling thread, the distributed step path, the
 # pooled allocator under concurrent alloc/free (including injected allocator
 # faults, the Oom* suites), fault/liveness recovery, the serving layer
 # (admission control, token cancellation, concurrent Session::Run over one
 # shared cached Executable), the thread pool itself, and the bulk passes
 # whose chunks pool threads write (the payload checksum's chunk digests and
-# Variable::Accumulate's sum).
+# Variable::Accumulate's sum, in place while snapshots are read).
 echo "==== tier 2: ThreadSanitizer smoke ===="
 "$repo/scripts/sanitize.sh" thread "$tsan_filter"
 
@@ -168,7 +169,8 @@ echo "==== tier 2: ThreadSanitizer smoke ===="
 # parsing that slices payload views out of pooled frames at offsets read off
 # the wire (and the fuzzers feeding it garbage over every protocol), step-arena
 # views handed to planned outputs and the lifetime of fetched outputs past
-# the runtime, the checksum's stripe loop and carried tail, .npy
+# the runtime, the checksum's stripe loops on every SIMD tier and its
+# streaming buffer, .npy
 # loads read straight into pooled buffers, and the packed GEMM's pack and
 # micro-kernel loops on every tier the host supports — exactly the code
 # where a lifetime bug or overread would be a use-after-free or heap

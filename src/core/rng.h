@@ -34,7 +34,8 @@ float UniformFloat(uint32_t bits);
 // Converts two 32-bit words to a double uniform in [0, 1).
 double UniformDouble(uint32_t hi, uint32_t lo);
 
-// Fills `t` (f32 or f64) with uniform [lo, hi) values derived from `seed`.
+// Fills `t` (f32, f64 or c128; any other dtype is a checked error) with
+// uniform [lo, hi) values derived from `seed`.
 // The value at flat index i depends only on (seed, i).
 void FillUniform(Tensor& t, uint64_t seed, double lo = 0.0, double hi = 1.0);
 

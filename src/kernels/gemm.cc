@@ -11,13 +11,6 @@
 namespace tfhpc::blas {
 namespace {
 
-#if defined(__GNUC__) || defined(__clang__)
-#define TFHPC_GEMM_VEC 1
-#if defined(__x86_64__) || defined(__i386__)
-#define TFHPC_GEMM_X86 1
-#endif
-#endif
-
 // Register tile and cache blocks of one (dtype, tier) pair. Each kc-deep
 // rank-1 update of an mr x nr C micro-tile runs from registers, the packed
 // A block (mc x kc) stays in L1/L2, and the packed B panel (kc x nc) stays
@@ -32,7 +25,7 @@ struct Blocking {
   double min_flops_per_task;
 };
 
-// Indexed by GemmTier; chosen by timing each tier through GemmOnTier in the
+// Indexed by SimdTier; chosen by timing each tier through GemmOnTier in the
 // Release -O3 build (GCC 12, 4-vCPU Xeon with AVX-512; DESIGN.md §15 has the
 // shapes swept). Each tile fills its tier's register file without spilling:
 // baseline 16 XMM (f32 16 and f64 12 accumulators), AVX2 16 YMM (12),
@@ -47,7 +40,7 @@ constexpr Blocking kF64Blocking[] = {{6, 4, 66, 256, 1024, 8e6},
                                      {12, 16, 24, 512, 1024, 8e6}};
 
 template <typename T>
-constexpr Blocking BlockingFor(GemmTier tier) {
+constexpr Blocking BlockingFor(SimdTier tier) {
   const int i = static_cast<int>(tier);
   return sizeof(T) == sizeof(float) ? kF32Blocking[i] : kF64Blocking[i];
 }
@@ -83,7 +76,7 @@ void PackB(const T* b, int64_t ldb, int64_t kc, int64_t nc, T* bp) {
   }
 }
 
-#if TFHPC_GEMM_VEC
+#if TFHPC_SIMD_VEC
 
 // MR x NR micro-kernel over packed strips: accumulates kc rank-1 updates into
 // a register tile of kBytes-wide GCC/Clang vector-extension lanes, then adds
@@ -131,7 +124,7 @@ __attribute__((always_inline)) inline void MicroTile(int64_t kc, const T* ap,
     for (int64_t j = 0; j < nr; ++j) c[i * ldc + j] += out[i * NR + j];
 }
 
-#else  // !TFHPC_GEMM_VEC
+#else  // !TFHPC_SIMD_VEC
 
 // Portable scalar fallback with the same packed-strip contract.
 template <typename T, int MR, int NR, int kBytes>
@@ -148,23 +141,23 @@ void MicroTile(int64_t kc, const T* ap, const T* bp, T* c, int64_t ldc,
     for (int64_t j = 0; j < nr; ++j) c[i * ldc + j] += acc[i * NR + j];
 }
 
-#endif  // TFHPC_GEMM_VEC
+#endif  // TFHPC_SIMD_VEC
 
 // One micro-kernel per tier, each compiled for its tier's ISA.
 template <typename T>
 void MicroBaseline(int64_t kc, const T* ap, const T* bp, T* c, int64_t ldc,
                    int64_t mr, int64_t nr) {
-  constexpr Blocking kB = BlockingFor<T>(GemmTier::kBaseline);
+  constexpr Blocking kB = BlockingFor<T>(SimdTier::kBaseline);
   MicroTile<T, kB.mr, kB.nr, 16>(kc, ap, bp, c, ldc, mr, nr);
 }
 
-#if TFHPC_GEMM_X86
+#if TFHPC_SIMD_X86
 template <typename T>
 __attribute__((target("avx2,fma"))) void MicroAvx2(int64_t kc, const T* ap,
                                                    const T* bp, T* c,
                                                    int64_t ldc, int64_t mr,
                                                    int64_t nr) {
-  constexpr Blocking kB = BlockingFor<T>(GemmTier::kAvx2);
+  constexpr Blocking kB = BlockingFor<T>(SimdTier::kAvx2);
   MicroTile<T, kB.mr, kB.nr, 32>(kc, ap, bp, c, ldc, mr, nr);
 }
 
@@ -175,25 +168,25 @@ __attribute__((target("avx512f,fma"))) void MicroAvx512(int64_t kc,
                                                         int64_t ldc,
                                                         int64_t mr,
                                                         int64_t nr) {
-  constexpr Blocking kB = BlockingFor<T>(GemmTier::kAvx512);
+  constexpr Blocking kB = BlockingFor<T>(SimdTier::kAvx512);
   MicroTile<T, kB.mr, kB.nr, 64>(kc, ap, bp, c, ldc, mr, nr);
 }
-#endif  // TFHPC_GEMM_X86
+#endif  // TFHPC_SIMD_X86
 
-template <typename T, GemmTier kTier>
+template <typename T, SimdTier kTier>
 void Micro(int64_t kc, const T* ap, const T* bp, T* c, int64_t ldc,
            int64_t mr, int64_t nr) {
-#if TFHPC_GEMM_X86
-  if constexpr (kTier == GemmTier::kAvx512) {
+#if TFHPC_SIMD_X86
+  if constexpr (kTier == SimdTier::kAvx512) {
     return MicroAvx512(kc, ap, bp, c, ldc, mr, nr);
-  } else if constexpr (kTier == GemmTier::kAvx2) {
+  } else if constexpr (kTier == SimdTier::kAvx2) {
     return MicroAvx2(kc, ap, bp, c, ldc, mr, nr);
   }
 #endif
   MicroBaseline(kc, ap, bp, c, ldc, mr, nr);
 }
 
-template <typename T, GemmTier kTier>
+template <typename T, SimdTier kTier>
 void GemmImpl(const T* a, const T* b, T* c, int64_t m, int64_t n, int64_t k,
               bool beta_zero, ThreadPool* pool) {
   constexpr Blocking kB = BlockingFor<T>(kTier);
@@ -250,18 +243,18 @@ void GemmImpl(const T* a, const T* b, T* c, int64_t m, int64_t n, int64_t k,
 }
 
 template <typename T>
-void GemmDispatch(GemmTier tier, const T* a, const T* b, T* c, int64_t m,
+void GemmDispatch(SimdTier tier, const T* a, const T* b, T* c, int64_t m,
                   int64_t n, int64_t k, bool beta_zero, ThreadPool* pool) {
   switch (tier) {
-#if TFHPC_GEMM_X86
-    case GemmTier::kAvx512:
-      return GemmImpl<T, GemmTier::kAvx512>(a, b, c, m, n, k, beta_zero,
+#if TFHPC_SIMD_X86
+    case SimdTier::kAvx512:
+      return GemmImpl<T, SimdTier::kAvx512>(a, b, c, m, n, k, beta_zero,
                                             pool);
-    case GemmTier::kAvx2:
-      return GemmImpl<T, GemmTier::kAvx2>(a, b, c, m, n, k, beta_zero, pool);
+    case SimdTier::kAvx2:
+      return GemmImpl<T, SimdTier::kAvx2>(a, b, c, m, n, k, beta_zero, pool);
 #endif
     default:
-      return GemmImpl<T, GemmTier::kBaseline>(a, b, c, m, n, k, beta_zero,
+      return GemmImpl<T, SimdTier::kBaseline>(a, b, c, m, n, k, beta_zero,
                                               pool);
   }
 }
@@ -295,62 +288,26 @@ void GemvImpl(const T* a, const T* x, T* y, int64_t m, int64_t n) {
 
 }  // namespace
 
-const char* GemmTierName(GemmTier tier) {
-  switch (tier) {
-    case GemmTier::kAvx512:
-      return "avx512";
-    case GemmTier::kAvx2:
-      return "avx2";
-    case GemmTier::kBaseline:
-      break;
-  }
-  return "baseline";
-}
-
-GemmTier DetectedGemmTier() {
-  static const GemmTier tier = [] {
-#if TFHPC_GEMM_X86
-    __builtin_cpu_init();
-    if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("fma")) {
-      return GemmTier::kAvx512;
-    }
-    if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-      return GemmTier::kAvx2;
-    }
-#endif
-    return GemmTier::kBaseline;
-  }();
-  return tier;
-}
-
-std::vector<GemmTier> SupportedGemmTiers() {
-  std::vector<GemmTier> tiers;
-  for (int t = 0; t <= static_cast<int>(DetectedGemmTier()); ++t) {
-    tiers.push_back(static_cast<GemmTier>(t));
-  }
-  return tiers;
-}
-
-void GemmOnTier(GemmTier tier, const float* a, const float* b, float* c,
+void GemmOnTier(SimdTier tier, const float* a, const float* b, float* c,
                 int64_t m, int64_t n, int64_t k, bool beta_zero,
                 ThreadPool* pool) {
-  TFHPC_CHECK(tier <= DetectedGemmTier()) << GemmTierName(tier);
+  TFHPC_CHECK(tier <= DetectedSimdTier()) << SimdTierName(tier);
   GemmDispatch(tier, a, b, c, m, n, k, beta_zero, pool);
 }
-void GemmOnTier(GemmTier tier, const double* a, const double* b, double* c,
+void GemmOnTier(SimdTier tier, const double* a, const double* b, double* c,
                 int64_t m, int64_t n, int64_t k, bool beta_zero,
                 ThreadPool* pool) {
-  TFHPC_CHECK(tier <= DetectedGemmTier()) << GemmTierName(tier);
+  TFHPC_CHECK(tier <= DetectedSimdTier()) << SimdTierName(tier);
   GemmDispatch(tier, a, b, c, m, n, k, beta_zero, pool);
 }
 
 void Gemm(const float* a, const float* b, float* c, int64_t m, int64_t n,
           int64_t k, bool beta_zero, ThreadPool* pool) {
-  GemmDispatch(DetectedGemmTier(), a, b, c, m, n, k, beta_zero, pool);
+  GemmDispatch(DetectedSimdTier(), a, b, c, m, n, k, beta_zero, pool);
 }
 void Gemm(const double* a, const double* b, double* c, int64_t m, int64_t n,
           int64_t k, bool beta_zero, ThreadPool* pool) {
-  GemmDispatch(DetectedGemmTier(), a, b, c, m, n, k, beta_zero, pool);
+  GemmDispatch(DetectedSimdTier(), a, b, c, m, n, k, beta_zero, pool);
 }
 void Gemv(const double* a, const double* x, double* y, int64_t m, int64_t n) {
   GemvImpl(a, x, y, m, n);

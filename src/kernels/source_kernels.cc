@@ -36,6 +36,11 @@ class RandomUniformKernel : public OpKernel {
     TFHPC_ASSIGN_OR_RETURN(int64_t seed, ctx->node().AttrInt("seed"));
     TFHPC_ASSIGN_OR_RETURN(double lo, ctx->node().AttrFloat("lo"));
     TFHPC_ASSIGN_OR_RETURN(double hi, ctx->node().AttrFloat("hi"));
+    if (dtype != DType::kF32 && dtype != DType::kF64 &&
+        dtype != DType::kC128) {
+      return InvalidArgument("RandomUniform fills f32, f64 or c128, not " +
+                             std::string(DTypeName(dtype)));
+    }
     Tensor out;
     TFHPC_RETURN_IF_ERROR(ctx->AllocateOutput(dtype, std::move(shape), &out));
     FillUniform(out, static_cast<uint64_t>(seed), lo, hi);

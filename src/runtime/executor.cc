@@ -443,6 +443,13 @@ Result<std::vector<Tensor>> Executor::Execute(
         if (exe.nodes_[static_cast<size_t>(idx)].blocking) {
           blocking_threads.emplace_back(
               [&execute_node, idx] { execute_node(idx); });
+        } else if (exe.num_scheduled_ == 1) {
+          // A one-node step runs on the caller's thread: the pool would add
+          // a hand-off and a wake-up, and queue the node behind other
+          // steps' kernel chunks.
+          lk.unlock();
+          execute_node(idx);
+          lk.lock();
         } else {
           ThreadPool::Global().Schedule(
               [&execute_node, idx] { execute_node(idx); });

@@ -14,7 +14,8 @@
 // control inputs have completed, and every ready op runs concurrently on the
 // thread pool, whatever its device (kernels are stateless and the memory
 // plan is sound under any interleaving); blocking queue ops get dedicated
-// threads so they cannot starve compute. The DES (src/sim) keeps its own
+// threads so they cannot starve compute. A step of one non-blocking node
+// runs it on the calling thread. The DES (src/sim) keeps its own
 // single-stream device model for the figures' timings.
 //
 // An Executable is valid only for the Graph::version() it was compiled

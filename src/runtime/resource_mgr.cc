@@ -7,8 +7,8 @@
 namespace tfhpc {
 namespace {
 
-// out = a + b elementwise; all three share one dtype and shape. A bulk
-// pass: every chunk boundary falls between two elements.
+// out = a + b elementwise; all three share one dtype and shape, and out may
+// be a itself. A bulk pass: every chunk boundary falls between two elements.
 template <typename T>
 void AddInto(const Tensor& a, const Tensor& b, Tensor* out) {
   static_assert(kBulkChunkBytes % sizeof(T) == 0);
@@ -176,12 +176,18 @@ Result<Tensor> Variable::Read() const {
 void Variable::Write(Tensor t) {
   std::lock_guard<std::mutex> lk(mu_);
   value_ = std::move(t);
+  owns_buffer_ = false;
 }
 
 Result<Tensor> Variable::Accumulate(const Tensor& delta) {
+  if (!delta.valid()) {
+    return InvalidArgument("variable '" + name_ +
+                           "' accumulate of an invalid tensor");
+  }
   std::lock_guard<std::mutex> lk(mu_);
   if (!value_.valid()) {
     value_ = delta.Clone();
+    owns_buffer_ = true;
     return value_;
   }
   if (value_.dtype() != delta.dtype() || value_.shape() != delta.shape()) {
@@ -189,11 +195,24 @@ Result<Tensor> Variable::Accumulate(const Tensor& delta) {
                            value_.shape().ToString() + " vs " +
                            delta.shape().ToString());
   }
-  // value + delta in one bulk pass (pooled from two chunks up) into a fresh
-  // buffer charged to the value's allocator. value_ is never written in
-  // place: readers hold shallow snapshots of it.
-  Tensor next = Tensor::Uninitialized(value_.dtype(), value_.shape(),
-                                      value_.buffer()->stats());
+  // value + delta in one bulk pass (pooled from two chunks up). In place
+  // only when no reader can see it: the buffer is the variable's own (a
+  // written tensor's writer may still hold it, or it may be a view of a step
+  // arena) and no one else holds it. Readers hold shallow snapshots, so a
+  // shared buffer keeps its bits and the sum goes to a fresh one charged to
+  // the value's allocator. The count is read from a copy of the pointer:
+  // the copy's increment is an acquire, so a reader that just dropped its
+  // snapshot is done with the bytes before they are written, where a bare
+  // use_count() is a relaxed load.
+  Tensor next;
+  if (owns_buffer_) {
+    const std::shared_ptr<Buffer> held = value_.buffer();
+    if (held.use_count() == 2) next = value_;
+  }
+  if (!next.valid()) {
+    next = Tensor::Uninitialized(value_.dtype(), value_.shape(),
+                                 value_.buffer()->stats());
+  }
   switch (next.dtype()) {
     case DType::kF32: AddInto<float>(value_, delta, &next); break;
     case DType::kF64: AddInto<double>(value_, delta, &next); break;
@@ -206,6 +225,7 @@ Result<Tensor> Variable::Accumulate(const Tensor& delta) {
                            std::string(DTypeName(next.dtype())));
   }
   value_ = std::move(next);
+  owns_buffer_ = true;
   return value_;
 }
 

@@ -73,8 +73,8 @@ class Variable {
   bool initialized() const;
   Result<Tensor> Read() const;  // returns a shallow snapshot
   void Write(Tensor t);
-  // value += delta; initializes to delta when uninitialized. Returns the
-  // new value.
+  // value += delta; initializes to a copy of delta when uninitialized.
+  // Returns the new value. An invalid delta is kInvalidArgument.
   Result<Tensor> Accumulate(const Tensor& delta);
 
   const std::string& name() const { return name_; }
@@ -83,6 +83,10 @@ class Variable {
   const std::string name_;
   mutable std::mutex mu_;
   Tensor value_;
+  // True while value_'s buffer is one Accumulate allocated (the first sum's
+  // copy or a later sum), never a tensor handed to Write: only such a buffer
+  // may be summed in place.
+  bool owns_buffer_ = false;
 };
 
 // Name -> resource maps with lazy creation.

@@ -145,7 +145,7 @@ struct RpcEnvelope {
   // call: retried sends reuse the pair so servers can deduplicate
   // non-idempotent ops. client_id == 0 means "no dedup" (legacy callers).
   uint64_t client_id = 0;  // field 6
-  // PayloadChecksum (XXH64-based, wire/payload.h) of payload, set by
+  // PayloadChecksum (XXH3-64-based, wire/payload.h) of payload, set by
   // clients so servers can reject frames corrupted in flight with a
   // retryable error. 0 means "unchecked".
   uint64_t checksum = 0;  // field 7

@@ -20,6 +20,7 @@
 #include <string_view>
 
 #include "core/buffer.h"
+#include "core/simd.h"
 
 namespace tfhpc::wire {
 
@@ -103,13 +104,19 @@ class PayloadRef {
 };
 
 // The RpcEnvelope checksum of the payload's byte sequence. A payload of at
-// most kBulkChunkBytes (1 MiB, core/threadpool.h) hashes to its XXH64
-// (seed 0). A longer one hashes to the XXH64 (seed 0) of the little-endian
-// 8-byte XXH64 digests of its consecutive 1 MiB chunks, the last one short:
-// a streaming XXH64 is one dependent chain, while the chunks' digests are
-// independent, so a payload of two chunks or more hashes them across the
-// pool. The head and then the view are read in place, so a view hashes
-// exactly like its Flatten() without materializing the copy.
+// most kBulkChunkBytes (1 MiB, core/threadpool.h) hashes to its XXH3-64
+// (seed 0, default secret). A longer one hashes to the XXH3-64 of the
+// little-endian 8-byte XXH3-64 digests of its consecutive 1 MiB chunks, the
+// last one short: the chunks' digests are independent, so a payload of two
+// chunks or more hashes them across the pool. The head and then the view
+// are read in place through one streaming state, so a view hashes exactly
+// like its Flatten() without materializing the copy. The hash's long loop
+// runs on the widest SIMD tier the CPU supports (core/simd.h); every tier
+// gives the same digest.
 uint64_t PayloadChecksum(const PayloadRef& p);
+
+// PayloadChecksum on an explicit tier, which must not be wider than
+// DetectedSimdTier() (checked), so tests can run every tier the host has.
+uint64_t PayloadChecksumOnTier(SimdTier tier, const PayloadRef& p);
 
 }  // namespace tfhpc::wire

@@ -43,8 +43,8 @@ TEST_P(GemmShapeTest, MatchesNaiveF64) {
   for (auto& v : a) v = dist(rng);
   for (auto& v : b) v = dist(rng);
   auto ref = NaiveGemm(a, b, m, n, k);
-  for (const auto tier : blas::SupportedGemmTiers()) {
-    SCOPED_TRACE(blas::GemmTierName(tier));
+  for (const auto tier : SupportedSimdTiers()) {
+    SCOPED_TRACE(SimdTierName(tier));
     std::vector<double> c(static_cast<size_t>(m * n));
     blas::GemmOnTier(tier, a.data(), b.data(), c.data(), m, n, k);
     for (size_t i = 0; i < c.size(); ++i) {
@@ -63,8 +63,8 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(GemmTest, F32Accumulate) {
   // beta_zero=false must accumulate into existing C.
   std::vector<float> a{1, 2, 3, 4}, b{1, 0, 0, 1};  // 2x2 identity-ish
-  for (const auto tier : blas::SupportedGemmTiers()) {
-    SCOPED_TRACE(blas::GemmTierName(tier));
+  for (const auto tier : SupportedSimdTiers()) {
+    SCOPED_TRACE(SimdTierName(tier));
     std::vector<float> c{10, 10, 10, 10};
     blas::GemmOnTier(tier, a.data(), b.data(), c.data(), 2, 2, 2,
                      /*beta_zero=*/false);
@@ -79,7 +79,7 @@ TEST(GemmTest, F32Accumulate) {
 // one owner per depth panel, and panels accumulate in serial order. Both
 // shapes have at least 3 row blocks and 2 depth panels on every tier.
 template <typename T>
-void ExpectBitIdenticalAcrossThreadCounts(blas::GemmTier tier, int64_t m,
+void ExpectBitIdenticalAcrossThreadCounts(SimdTier tier, int64_t m,
                                           int64_t n, int64_t k) {
   std::mt19937_64 rng(static_cast<uint64_t>(m * 7919 + n * 31 + k));
   std::uniform_real_distribution<T> dist(-1, 1);
@@ -103,8 +103,8 @@ void ExpectBitIdenticalAcrossThreadCounts(blas::GemmTier tier, int64_t m,
 }
 
 TEST(GemmTest, BitIdenticalAcrossThreadCounts) {
-  for (const auto tier : blas::SupportedGemmTiers()) {
-    SCOPED_TRACE(blas::GemmTierName(tier));
+  for (const auto tier : SupportedSimdTiers()) {
+    SCOPED_TRACE(SimdTierName(tier));
     ExpectBitIdenticalAcrossThreadCounts<float>(tier, 300, 257, 600);
     ExpectBitIdenticalAcrossThreadCounts<double>(tier, 300, 257, 600);
     ExpectBitIdenticalAcrossThreadCounts<float>(tier, 512, 512, 1024);
@@ -147,8 +147,8 @@ TEST_P(GemmTailShapeTest, MatchesNaiveF64) {
   for (auto& v : a) v = dist(rng);
   for (auto& v : b) v = dist(rng);
   const auto ref = NaiveGemm(a, b, m, n, k);
-  for (const auto tier : blas::SupportedGemmTiers()) {
-    SCOPED_TRACE(blas::GemmTierName(tier));
+  for (const auto tier : SupportedSimdTiers()) {
+    SCOPED_TRACE(SimdTierName(tier));
     std::vector<double> c(static_cast<size_t>(m * n));
     blas::GemmOnTier(tier, a.data(), b.data(), c.data(), m, n, k);
     for (size_t i = 0; i < c.size(); ++i) {
@@ -166,8 +166,8 @@ TEST_P(GemmTailShapeTest, MatchesNaiveF32) {
   for (auto& v : a) v = dist(rng);
   for (auto& v : b) v = dist(rng);
   const auto ref = NaiveGemm(a, b, m, n, k);
-  for (const auto tier : blas::SupportedGemmTiers()) {
-    SCOPED_TRACE(blas::GemmTierName(tier));
+  for (const auto tier : SupportedSimdTiers()) {
+    SCOPED_TRACE(SimdTierName(tier));
     std::vector<float> c(static_cast<size_t>(m * n));
     blas::GemmOnTier(tier, a.data(), b.data(), c.data(), m, n, k);
     for (size_t i = 0; i < c.size(); ++i) {
@@ -188,8 +188,8 @@ TEST_P(GemmTailShapeTest, AccumulatesWhenBetaNonzeroF32) {
   for (size_t i = 0; i < ref.size(); ++i) {
     ref[i] += static_cast<float>(i % 7) - 3;
   }
-  for (const auto tier : blas::SupportedGemmTiers()) {
-    SCOPED_TRACE(blas::GemmTierName(tier));
+  for (const auto tier : SupportedSimdTiers()) {
+    SCOPED_TRACE(SimdTierName(tier));
     std::vector<float> c(static_cast<size_t>(m * n));
     for (size_t i = 0; i < c.size(); ++i) c[i] = static_cast<float>(i % 7) - 3;
     blas::GemmOnTier(tier, a.data(), b.data(), c.data(), m, n, k,
@@ -210,8 +210,8 @@ TEST_P(GemmTailShapeTest, AccumulatesWhenBetaNonzeroF64) {
   for (auto& v : b) v = dist(rng);
   auto ref = NaiveGemm(a, b, m, n, k);
   for (size_t i = 0; i < ref.size(); ++i) ref[i] += static_cast<double>(i % 5);
-  for (const auto tier : blas::SupportedGemmTiers()) {
-    SCOPED_TRACE(blas::GemmTierName(tier));
+  for (const auto tier : SupportedSimdTiers()) {
+    SCOPED_TRACE(SimdTierName(tier));
     std::vector<double> c(static_cast<size_t>(m * n));
     for (size_t i = 0; i < c.size(); ++i) c[i] = static_cast<double>(i % 5);
     blas::GemmOnTier(tier, a.data(), b.data(), c.data(), m, n, k,
@@ -483,6 +483,16 @@ TEST_F(KernelSessionTest, DtypeMismatchError) {
   auto b = ops::Const(s, Tensor::FromVector(std::vector<float>{1}));
   auto c = ops::Add(s, a, b);
   EXPECT_FALSE(rt_.NewSession()->Run({}, {c.name()}).ok());
+}
+
+// RandomUniform fills only f32, f64 and c128: an int32 request fails the
+// step with kInvalidArgument before any fill.
+TEST_F(KernelSessionTest, RandomUniformRefusesAnIntegerDtype) {
+  Scope s = rt_.root_scope();
+  auto r = ops::RandomUniform(s, Shape{4}, DType::kI32, /*seed=*/1);
+  auto out = rt_.NewSession()->Run({}, {r.name()});
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.status().code(), Code::kInvalidArgument);
 }
 
 TEST_F(KernelSessionTest, DivideScalars) {

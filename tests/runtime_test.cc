@@ -2,6 +2,7 @@
 // fetches, pruning, control deps, errors), variables, queues, sessions.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <complex>
 #include <thread>
@@ -113,6 +114,32 @@ class ExecutorTest : public ::testing::Test {
  protected:
   LocalRuntime rt_{1};
 };
+
+// The thread that last ran a TestThreadId kernel.
+std::atomic<std::thread::id> g_kernel_thread;
+
+class ThreadIdKernel : public OpKernel {
+ public:
+  Status Compute(OpKernelContext* ctx) override {
+    g_kernel_thread = std::this_thread::get_id();
+    ctx->set_output(0, Tensor::Scalar(1.0));
+    return Status::OK();
+  }
+};
+TFHPC_REGISTER_OP(OpDef{.name = "TestThreadId", .is_stateful = true});
+TFHPC_REGISTER_KERNEL_ALL("TestThreadId", ThreadIdKernel);
+
+TEST_F(ExecutorTest, OneNodeStepRunsOnTheCallingThread) {
+  Scope s = rt_.root_scope();
+  const Node* probe = s.AddNode("TestThreadId", {}, {});
+  auto sess = rt_.NewSession();
+  for (int run = 0; run < 3; ++run) {
+    g_kernel_thread = std::thread::id();
+    auto r = sess->Run({}, {probe->name()});
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(g_kernel_thread.load(), std::this_thread::get_id()) << run;
+  }
+}
 
 TEST_F(ExecutorTest, FeedReplacesNodeOutput) {
   Scope s = rt_.root_scope();
@@ -411,8 +438,10 @@ T TestValue(int64_t i, int salt) {
 }
 
 // One pass of value + delta must give the very bits of the old
-// clone-then-add, cost the variable's allocator the one allocation the
-// clone did, and never write the buffer a reader's snapshot shares.
+// clone-then-add, cost the variable's allocator one allocation for the
+// first sum over a written value (the sums after it run in place in the
+// variable's own buffer), and never write the buffer a reader's snapshot
+// shares.
 template <typename T>
 void ExpectAccumulateIsCloneThenAdd(int64_t n) {
   AllocatorStats stats;
@@ -436,7 +465,7 @@ void ExpectAccumulateIsCloneThenAdd(int64_t n) {
     }
     ref = next;
   }
-  EXPECT_EQ(stats.allocs() - allocs, 3);
+  EXPECT_EQ(stats.allocs() - allocs, 1);
   const Tensor now = v.Read().value();
   EXPECT_EQ(now.buffer()->stats(), &stats);
   EXPECT_TRUE(now.BitwiseEquals(ref)) << DTypeName(kDTypeOf<T>) << " " << n;
@@ -461,6 +490,88 @@ TEST(VariableAccumulateTest, OnePassSumIsBitIdenticalToCloneThenAdd) {
   ExpectAccumulateIsCloneThenAddAcrossTheCutoff<double>();
   ExpectAccumulateIsCloneThenAddAcrossTheCutoff<std::complex<double>>();
   ExpectAccumulateIsCloneThenAddAcrossTheCutoff<int64_t>();
+}
+
+// A sum runs in place only when no one else can see the variable's buffer:
+// the buffer stays the same across sums of an unshared variable, a held
+// snapshot moves the next sum to a fresh buffer, and a tensor handed to
+// Write is never summed in place, even once its writer has let go.
+TEST(VariableAccumulateTest, SumsRunInPlaceOnlyWhenNoOneElseHoldsTheValue) {
+  Tensor ones(DType::kF32, Shape{1031});
+  for (float& x : ones.mutable_span<float>()) x = 1.0f;
+  auto value_buffer = [](const Variable& v) {
+    return v.Read().value().buffer().get();
+  };
+  Variable v("acc");
+  ASSERT_TRUE(v.Accumulate(ones).ok());  // the variable's own copy
+  const Buffer* own = value_buffer(v);
+  for (int round = 0; round < 3; ++round) {
+    ASSERT_TRUE(v.Accumulate(ones).ok());
+    EXPECT_EQ(value_buffer(v), own) << round;
+  }
+  const Tensor snapshot = v.Read().value();
+  ASSERT_TRUE(v.Accumulate(ones).ok());
+  EXPECT_NE(value_buffer(v), own);
+  EXPECT_EQ(snapshot.data<float>()[1030], 4.0f);
+  EXPECT_EQ(v.Read().value().data<float>()[1030], 5.0f);
+
+  Variable w("written");
+  const Buffer* written = nullptr;
+  {
+    Tensor init = ones.Clone();
+    written = init.buffer().get();
+    w.Write(std::move(init));
+  }
+  ASSERT_TRUE(w.Accumulate(ones).ok());
+  EXPECT_NE(value_buffer(w), written);
+  EXPECT_EQ(w.Read().value().data<float>()[0], 2.0f);
+}
+
+// A reader takes snapshots while sums run, pooled across chunks, some in
+// place and some into fresh buffers: every snapshot holds one round's
+// values, never a mix of two.
+TEST(VariableAccumulateTest, ConcurrentSnapshotsEachHoldOneRound) {
+  const int64_t n = static_cast<int64_t>(kBulkPoolMinBytes / sizeof(float)) + 13;
+  constexpr int kRounds = 100;
+  Tensor ones(DType::kF32, Shape{n});
+  for (float& x : ones.mutable_span<float>()) x = 1.0f;
+  Variable v("acc");
+  ASSERT_TRUE(v.Accumulate(ones).ok());
+  std::atomic<bool> done{false};
+  std::atomic<int> mixed{0};
+  std::thread reader([&] {
+    while (!done.load()) {
+      const Tensor snapshot = v.Read().value();
+      const auto values = snapshot.data<float>();
+      for (const float x : values) {
+        if (x != values[0]) {
+          mixed.fetch_add(1);
+          break;
+        }
+      }
+    }
+  });
+  for (int round = 0; round < kRounds; ++round) {
+    ASSERT_TRUE(v.Accumulate(ones).ok());
+  }
+  done = true;
+  reader.join();
+  EXPECT_EQ(mixed.load(), 0);
+  const Tensor last = v.Read().value();
+  EXPECT_EQ(last.data<float>()[0], static_cast<float>(kRounds + 1));
+  EXPECT_EQ(last.data<float>()[static_cast<size_t>(n - 1)],
+            static_cast<float>(kRounds + 1));
+}
+
+// Accumulating an invalid tensor is refused, whether or not the variable
+// holds a value.
+TEST(VariableAccumulateTest, InvalidDeltaIsRefused) {
+  Variable v("v");
+  EXPECT_EQ(v.Accumulate(Tensor()).status().code(), Code::kInvalidArgument);
+  EXPECT_FALSE(v.initialized());
+  v.Write(Tensor::Scalar(1.0));
+  EXPECT_EQ(v.Accumulate(Tensor()).status().code(), Code::kInvalidArgument);
+  EXPECT_EQ(v.Read().value().scalar<double>(), 1.0);
 }
 
 TEST_F(ExecutorTest, QueueRoundTripThroughGraphOps) {

@@ -1,5 +1,6 @@
 // Unit tests for the protobuf wire format subset, message schemas and the
 // payload checksum.
+#include <dlfcn.h>
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -557,16 +558,65 @@ TEST(RegisterStepTest, ResponseNegativeVersionSurvivesZigZag) {
   EXPECT_EQ(r->graph_version, -7);
 }
 
-// ---- Payload checksum (XXH64) --------------------------------------------------
+// ---- Payload checksum (XXH3-64) -----------------------------------------------
 
-TEST(WireChecksumTest, MatchesPublishedXxh64Vectors) {
-  EXPECT_EQ(PayloadChecksum(std::string()), 0xef46db3751d8e999ull);
-  EXPECT_EQ(PayloadChecksum(std::string("a")), 0xd24ec4f1a98c6e5bull);
-  EXPECT_EQ(PayloadChecksum(std::string("abc")), 0x44bc2cf5ad770999ull);
-  // 39 bytes: one full stripe through the four lanes, then a 7-byte tail.
+// XXH3_64bits from the system's libxxhash, the reference the pinned values
+// below were taken from, or null when the library is not installed.
+using Xxh3Fn = uint64_t (*)(const void*, size_t);
+Xxh3Fn ReferenceXxh3() {
+  static const Xxh3Fn fn = []() -> Xxh3Fn {
+    void* lib = dlopen("libxxhash.so.0", RTLD_NOW | RTLD_LOCAL);
+    if (lib == nullptr) return nullptr;
+    return reinterpret_cast<Xxh3Fn>(dlsym(lib, "XXH3_64bits"));
+  }();
+  return fn;
+}
+
+TEST(WireChecksumTest, MatchesPublishedXxh3Vectors) {
+  EXPECT_EQ(PayloadChecksum(std::string()), 0x2d06800538d394c2ull);
+  EXPECT_EQ(PayloadChecksum(std::string("a")), 0xe6c632b61e964e1full);
+  EXPECT_EQ(PayloadChecksum(std::string("abc")), 0x78af5f94892f3950ull);
   EXPECT_EQ(PayloadChecksum(
                 std::string("Nobody inspects the spammish repetition")),
-            0xfbcea83c8a378bf1ull);
+            0x6cb00603b5cc47e9ull);
+}
+
+// One length or more from every XXH3 branch: 1-3, 4-8, 9-16, 17-128 (each
+// of its four mix counts), 129-240, and the long loop from 241 B, around
+// the 256 B streaming buffer and the 1 KiB block. Values from libxxhash
+// 0.8.1's XXH3_64bits.
+TEST(WireChecksumTest, MatchesXxh3OnEveryLengthBranch) {
+  const std::pair<size_t, uint64_t> kVectors[] = {
+      {1, 0xc00f9d4f580c0c3aull},    {3, 0x71020e50847344f4ull},
+      {4, 0x582cceaae7840996ull},    {8, 0xed94c0f0480fbf27ull},
+      {9, 0xc9150bde9abf5af4ull},    {16, 0xd01fa69d2dba6d55ull},
+      {17, 0x9832cab1c5165867ull},   {33, 0x6ab57e164f910d67ull},
+      {65, 0x77b81810e37ba91eull},   {97, 0x04052058dd410046ull},
+      {128, 0x6c0dc8384848196cull},  {129, 0xcc1a259fe10479e0ull},
+      {200, 0x2e633929d7ad6a7dull},  {240, 0x4ec60530b8127659ull},
+      {241, 0x21a622de21a37d71ull},  {256, 0x5557cf0c70b7f142ull},
+      {257, 0xa732bbad1947cbf2ull},  {1023, 0x1e34e7b1cce8d454ull},
+      {1024, 0x5b63567e2de83c64ull}, {1025, 0x8be12fd28501a6faull},
+      {4099, 0xa5eb1c75aeb0caa4ull},
+  };
+  for (const auto& [n, digest] : kVectors) {
+    EXPECT_EQ(PayloadChecksum(TestBytes(n, n)), digest) << n;
+  }
+}
+
+// Where libxxhash is installed, every length up to 5,000 B and the 1 MiB
+// chunk itself hash exactly as its XXH3_64bits does.
+TEST(WireChecksumTest, MatchesLibxxhashUpToOneChunk) {
+  const Xxh3Fn reference = ReferenceXxh3();
+  if (reference == nullptr) GTEST_SKIP() << "libxxhash.so.0 not installed";
+  for (size_t n = 0; n <= 5000; ++n) {
+    const std::string bytes = TestBytes(n, n + 3);
+    ASSERT_EQ(PayloadChecksum(bytes), reference(bytes.data(), n)) << n;
+  }
+  for (size_t n : {kMiB - 1, kMiB}) {
+    const std::string bytes = TestBytes(n, n);
+    EXPECT_EQ(PayloadChecksum(bytes), reference(bytes.data(), n)) << n;
+  }
 }
 
 // The serially built checksum of a payload over 1 MiB: each 1 MiB chunk
@@ -584,12 +634,11 @@ uint64_t SerialChunkedChecksum(const std::string& bytes) {
 }
 
 TEST(WireChecksumTest, PayloadsOverOneMiBHashTheirChunkDigests) {
-  // Exactly 1 MiB is still one XXH64 stream, and 1 MiB + 1 is two chunks.
-  // Both values are from an independent XXH64 implementation that
-  // reproduces the published vectors.
-  EXPECT_EQ(PayloadChecksum(TestBytes(kMiB, 1)), 0x3fe5cc6cf6799583ull);
+  // Exactly 1 MiB is still one XXH3 stream, and 1 MiB + 1 is two chunks.
+  // Both values are built from libxxhash 0.8.1's XXH3_64bits.
+  EXPECT_EQ(PayloadChecksum(TestBytes(kMiB, 1)), 0x7b0c7e7348bde3ffull);
   EXPECT_EQ(PayloadChecksum(TestBytes(kMiB + 1, kMiB + 1)),
-            0x61decd67a8e0eeb0ull);
+            0x1b8b5ddfcacd6403ull);
   // 1 MiB + 1 to 2 MiB - 1 are hashed serially, 2 MiB and up across the
   // pool; 16 MiB + 29 B is the stream push payload.
   for (size_t n : {kMiB + 1, 2 * kMiB - 1, 2 * kMiB, 2 * kMiB + 1,
@@ -601,15 +650,16 @@ TEST(WireChecksumTest, PayloadsOverOneMiBHashTheirChunkDigests) {
 
 // The gRPC server checks flattened bytes against the sum the client took
 // over the view, so a view must hash exactly like its Flatten(). Head and
-// body lengths straddle the 32-byte stripe and the partial stripe carried
-// from head to body; a nonzero view offset starts the body unaligned.
-// Bodies near 1 and 2 MiB put chunk boundaries in the view, and with a head
-// the first chunk spans the head and the view.
+// body lengths straddle the 64-byte stripe, the 240-byte short-input limit,
+// the 256-byte streaming buffer and the 1 KiB block, with bytes carried from
+// head to body; a nonzero view offset starts the body unaligned. Bodies
+// near 1 and 2 MiB put chunk boundaries in the view, and with a head the
+// first chunk spans the head and the view.
 TEST(WireChecksumTest, ViewHashesLikeItsFlattenedBytes) {
-  const size_t kBodies[] = {0,       1,           31,      32,
-                            33,      63,          64,      65,
-                            1000,    kMiB - 7,    kMiB,    2 * kMiB - 7,
-                            2 * kMiB + 1};
+  const size_t kBodies[] = {0,    1,        31,   32,          33,
+                            63,   64,       65,   200,         216,
+                            217,  256,      1000, 1024,        kMiB - 7,
+                            kMiB, 2 * kMiB - 7,   2 * kMiB + 1};
   const size_t kOffsets[] = {0, 5};
   std::vector<size_t> every_head(41);
   for (size_t head = 0; head <= 40; ++head) every_head[head] = head;
@@ -628,6 +678,35 @@ TEST(WireChecksumTest, ViewHashesLikeItsFlattenedBytes) {
             << "head " << head << " body " << body << " offset " << offset;
         EXPECT_EQ(PayloadChecksum(PayloadRef(flat)), PayloadChecksum(flat));
       }
+    }
+  }
+}
+
+// Every SIMD tier the host supports gives the baseline tier's digest, for
+// contiguous payloads and for views split after a head, over every length
+// up to 4 KiB and at the chunk sizes.
+TEST(WireChecksumTest, EveryTierGivesTheSameDigest) {
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 4096; ++n) lengths.push_back(n);
+  for (size_t n : {kMiB - 1, kMiB, kMiB + 1, 2 * kMiB + 41}) {
+    lengths.push_back(n);
+  }
+  const std::string bytes = TestBytes(2 * kMiB + 41, 11);
+  auto buffer = Buffer::Allocate(bytes.size());
+  std::memcpy(buffer->data(), bytes.data(), bytes.size());
+  for (const SimdTier tier : SupportedSimdTiers()) {
+    SCOPED_TRACE(SimdTierName(tier));
+    for (size_t n : lengths) {
+      const PayloadRef contiguous = PayloadRef::View("", buffer, 0, n);
+      ASSERT_EQ(PayloadChecksumOnTier(tier, contiguous),
+                PayloadChecksumOnTier(SimdTier::kBaseline, contiguous))
+          << n;
+      const size_t head = n % 301;
+      const PayloadRef split =
+          PayloadRef::View(bytes.substr(0, head), buffer, head, n - head);
+      ASSERT_EQ(PayloadChecksumOnTier(tier, split),
+                PayloadChecksumOnTier(SimdTier::kBaseline, contiguous))
+          << n << " split after " << head;
     }
   }
 }
